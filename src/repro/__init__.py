@@ -50,7 +50,6 @@ from repro.gpusim.device import A6000, DeviceSpec
 from repro.gpusim.energy import EnergyReport
 from repro.gpusim.executor import KernelResult
 from repro.gpusim.memory import MemoryModel
-from repro.gpusim.multigpu import MultiGPUResult
 from repro.runtime.cost_model import CostModel
 from repro.runtime.engine import WalkEngine, WalkRunResult
 from repro.runtime.faults import (
@@ -87,7 +86,7 @@ from repro.walks.second_order_pr import SecondOrderPRSpec
 from repro.walks.spec import UniformWalkSpec, WalkSpec
 from repro.walks.state import WalkerState, WalkQuery, make_queries
 
-__version__ = "1.4.0"
+__version__ = "2.0.0"
 
 __all__ = [
     # Serving API (the supported entry point)
@@ -122,7 +121,6 @@ __all__ = [
     "WalkRunResult",
     "SuperstepReport",
     "KernelResult",
-    "MultiGPUResult",
     "CostCounters",
     "ProfileResult",
     "CostModel",

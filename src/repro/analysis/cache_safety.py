@@ -35,7 +35,12 @@ import ast
 from dataclasses import dataclass, field
 
 from repro.analysis.diagnostics import UNKNOWN_SPAN, Diagnostic, Severity, _DiagnosticCollector
-from repro.analysis.hooks import HookSource, SpecSources, hook_overridden
+from repro.analysis.hooks import (
+    HookSource,
+    SpecSources,
+    get_weight_reads_state,
+    hook_overridden,
+)
 from repro.walks.spec import WalkSpec
 
 #: ``BatchStepContext`` members that expose per-walker, step-varying state.
@@ -103,10 +108,6 @@ def _arg_name(source: HookSource, index: int, default: str) -> str:
     return default
 
 
-def _names_in(func: ast.AST) -> set[str]:
-    return {node.id for node in ast.walk(func) if isinstance(node, ast.Name)}
-
-
 def _state_uses(
     source: HookSource,
     arg: str,
@@ -146,12 +147,9 @@ def check_cache_safety(spec: WalkSpec, sources: SpecSources) -> CacheSafetyVerdi
     verdict = CacheSafetyVerdict()
     out = _DiagnosticCollector()
 
-    # Scalar proof: same criterion as analyze_get_weight.reads_state — any
-    # mention of the state parameter, branch conditions included.
     scalar = sources.hook("get_weight")
     if scalar is not None:
-        state_arg = _arg_name(scalar, 2, "state")
-        verdict.scalar_reads_state = state_arg in _names_in(scalar.func)
+        verdict.scalar_reads_state = get_weight_reads_state(scalar.func)
     scalar_known = scalar is not None
     state_free = scalar_known and not verdict.scalar_reads_state
 

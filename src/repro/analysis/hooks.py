@@ -118,6 +118,21 @@ def hook_overridden(spec: WalkSpec, name: str) -> bool:
     return getattr(type(spec), name, None) is not getattr(WalkSpec, name, None)
 
 
+def get_weight_reads_state(func: ast.FunctionDef) -> bool:
+    """The scalar reads-state proof: does ``get_weight`` mention its state?
+
+    True when the state parameter (conventionally ``self, graph, state,
+    edge``; resolved by position so renamed parameters still work) appears
+    anywhere in the body.  Branch conditions count: a state-dependent branch
+    makes the *value* state-dependent even when every return expression is
+    state-free.  The compiler's :class:`~repro.compiler.analyzer.AnalysisResult`
+    and the cache-safety verdict both read this one proof.
+    """
+    args = func.args.args
+    state_arg = args[2].arg if len(args) > 2 else "state"
+    return any(isinstance(node, ast.Name) and node.id == state_arg for node in ast.walk(func))
+
+
 def get_source_line(file: str, lineno: int) -> str:
     """Raw source line for suppression matching ('' when unavailable)."""
     if lineno <= 0:

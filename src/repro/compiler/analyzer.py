@@ -24,6 +24,7 @@ import inspect
 import textwrap
 from dataclasses import dataclass, field
 
+from repro.analysis.hooks import get_weight_reads_state
 from repro.compiler.flags import BoundGranularity
 from repro.walks.spec import WalkSpec
 
@@ -209,14 +210,10 @@ def analyze_get_weight(spec: WalkSpec) -> AnalysisResult:
     # Conventional parameter order: self, graph, state, edge.  Positions are
     # resolved from the declaration so renamed parameters still work.
     graph_arg = args[1] if len(args) > 1 else "graph"
-    state_arg = args[2] if len(args) > 2 else "state"
     edge_arg = args[3] if len(args) > 3 else "edge"
 
     result = AnalysisResult(argument_names=args)
-    # Whole-body state usage (branch conditions count: a state-dependent
-    # branch makes the *value* state-dependent even when every return
-    # expression is state-free).
-    result.reads_state = state_arg in _names_in(func)
+    result.reads_state = get_weight_reads_state(func)
 
     reasons = _contains_unsupported(func)
     if reasons:

@@ -19,8 +19,6 @@ from repro.gpusim.warp import WarpModel, WARP_SIZE
 from repro.gpusim.executor import KernelExecutor, KernelResult
 from repro.gpusim.multigpu import (
     PARTITION_POLICIES,
-    MultiGPUExecutor,
-    MultiGPUResult,
     partition_queries,
 )
 from repro.gpusim.energy import EnergyModel, EnergyReport
@@ -36,8 +34,6 @@ __all__ = [
     "WARP_SIZE",
     "KernelExecutor",
     "KernelResult",
-    "MultiGPUExecutor",
-    "MultiGPUResult",
     "PARTITION_POLICIES",
     "partition_queries",
     "EnergyModel",

@@ -303,9 +303,10 @@ class WalkEngine:
         engine is checked against.
     num_devices:
         Number of replicated-graph devices the query batch is partitioned
-        over (Fig. 15).  Each device runs its own frontier/queue instance of
-        the selected execution mode; walker randomness is keyed by query id,
-        so placement never changes any walk — only the makespan.
+        over (Fig. 15).  Every device's walkers execute in one shared wave
+        and the placement ledger prices each device's share; walker
+        randomness is keyed by query id, so placement never changes any
+        walk — only the makespan.
     partition_policy:
         Query-to-device mapping: ``"hash"`` (the paper's choice),
         ``"range"`` (contiguous slices) or ``"balanced"`` (greedy
@@ -452,23 +453,16 @@ class WalkEngine:
     ) -> WalkRunResult:
         """Execute every query and return walks plus the simulated profile."""
         started = time.perf_counter()  # repro: ignore[internal/wall-clock]
-        if self.num_devices > 1 and self.graph_placement == "sharded":
-            from repro.runtime.frontier import run_sharded
-
-            result = run_sharded(self, queries, profile)
-        elif self.num_devices > 1:
-            from repro.runtime.frontier import run_multi_device
-
-            result = run_multi_device(self, queries, profile)
-        elif self.execution == "batched":
-            from repro.runtime.frontier import run_batched
-
-            result = run_batched(self, queries, profile)
-        else:
+        if self.execution == "scalar" and self.num_devices == 1:
             result = self._run_scalar(queries, profile)
+        else:
+            from repro.runtime.frontier import PlacementLedger, Wave
+
+            validate_queries(queries, self.graph.num_nodes)
+            ledger = PlacementLedger(self)
+            Wave(ledger, list(queries), track_finished=False).drain()
+            result = ledger.result(profile)
         result.wall_clock_s = time.perf_counter() - started  # repro: ignore[internal/wall-clock]
-        if self.compiled is not None and not self.compiled.analysis.supported:
-            result.compiler_warnings = tuple(self.compiled.analysis.warnings)
         return result
 
     def with_devices(
@@ -523,14 +517,14 @@ class WalkEngine:
         clone.ghost_cache_bytes = int(ghost)
         return clone
 
-    def _fault_runtime(self, num_devices: int | None = None):
+    def _fault_runtime(self):
         """The per-run fault-tolerance runtime, or ``None`` on the fast path.
 
         Returns ``None`` whenever no fault plan is configured and explicit
-        checkpointing is off, which keeps every existing driver on its
-        original superstep loop — fault tolerance costs nothing unless it is
-        asked for.  A fresh :class:`~repro.runtime.faults.FaultRuntime` is
-        minted per run (it holds mutable per-run ledgers).
+        checkpointing is off, which keeps every run on the plain superstep
+        loop — fault tolerance costs nothing unless it is asked for.  A
+        fresh :class:`~repro.runtime.faults.FaultRuntime` is minted per run
+        (it holds mutable per-run ledgers).
         """
         plan = self.fault_plan
         if (plan is None or plan.empty) and self.checkpoint_interval == 0:
@@ -541,8 +535,14 @@ class WalkEngine:
             self.device,
             plan=plan,
             checkpoint_interval=self.checkpoint_interval,
-            num_devices=num_devices if num_devices is not None else self.num_devices,
+            num_devices=self.num_devices,
         )
+
+    def _compiler_warnings(self) -> tuple[str, ...]:
+        """Why the compiled workload fell back to eRVS-only (empty if it did not)."""
+        if self.compiled is not None and not self.compiled.analysis.supported:
+            return tuple(self.compiled.analysis.warnings)
+        return ()
 
     def _sharded_graph(self):
         """The cached shard decomposition for this engine's count/policy.
@@ -629,8 +629,8 @@ class WalkEngine:
         (normally the already-priced queue-fetch cost) in step order — the
         same float association the batched engine uses, so the value is
         bit-identical however the surrounding loop batches queries.  This is
-        the property both :meth:`_run_scalar` and the session layer's wave
-        execution rely on.
+        the property both :meth:`_run_scalar` and the scalar
+        :class:`~repro.runtime.frontier.Wave` rely on.
         """
         state = WalkerState.start(query)
         query_ns = float(start_ns)
@@ -731,4 +731,5 @@ class WalkEngine:
             preprocess_time_ns=(
                 self.compiled.preprocessing_time_ns if self.compiled is not None else 0.0
             ),
+            compiler_warnings=self._compiler_warnings(),
         )

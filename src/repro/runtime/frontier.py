@@ -1,4 +1,4 @@
-"""The batched, step-synchronous walk execution loop (frontier engine).
+"""The batched, step-synchronous walk execution loop and its one driver.
 
 This is the execution shape real GPU walk frameworks use (FlowWalker's and
 C-SAW's frontier kernels): instead of interpreting one query at a time, every
@@ -23,27 +23,34 @@ construction, not by accident:
 The one documented exception is :class:`~repro.runtime.selector.RandomSelector`,
 whose shared-generator coin flips cannot be replayed step-synchronously.
 
-Multi-device execution reuses the same loop: :func:`run_multi_device` fuses
-the frontiers of every simulated device into **one** shared superstep
-(per-device bookkeeping kept through device-id slots), so a D-device run
-costs one Python loop instead of D — the serial per-device composition is
-kept as :func:`run_multi_device_serial` for the scalar mode and as the
-executable specification the fused loop is property-tested against.
+Execution and placement are separate.  A :class:`Wave` executes one batch of
+queries — superstep by superstep through :func:`iter_supersteps` (wrapped in
+the fault-recovery protocol when the engine asks for it), or walk by walk
+through the scalar interpreter — and a :class:`PlacementLedger` decides
+where that work lands: one device, D replicated devices (queries owned by
+their partition's device) or D graph shards (steps owned by the shard
+hosting the walker, priced by :class:`ShardedRunAccounting`).
+``WalkEngine.run`` drains one wave; a standalone
+:class:`~repro.service.WalkSession` streams one wave per batch of queued
+submissions into a session-wide ledger; the continuous-batching scheduler
+executes in its own fused frontier (:class:`FrontierRun`) and feeds the same
+ledger.  Placement never changes a walk — every walker's stream is keyed by
+its query id — so paths, counters and per-query base times are identical in
+every placement; only the per-device kernels and the makespan differ.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Callable
-from typing import TYPE_CHECKING
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from repro.errors import SimulationError
 from repro.gpusim.counters import CostCounters, CounterBatch
 from repro.gpusim.executor import KernelExecutor, KernelResult
 from repro.rng.streams import StreamPool
-from repro.runtime.scheduler import DynamicQueryQueue, validate_queries
+from repro.runtime.faults import reassign_owners, resilient_supersteps
 from repro.sampling.batch import BatchStepContext, BufferArena
 from repro.walks.state import WalkerFrontier, WalkQuery
 
@@ -109,11 +116,6 @@ class NodeHintTables:
         return self.bounds[nodes], self.sums[nodes]
 
 
-#: Per-superstep hook of the fused multi-device loop: receives the active
-#: frontier indices and the superstep's CounterBatch so the caller can fold
-#: per-walker counts into per-device aggregates.
-SuperstepFold = Callable[[np.ndarray, CounterBatch], None]
-
 
 @dataclass(frozen=True)
 class SuperstepReport:
@@ -121,8 +123,9 @@ class SuperstepReport:
 
     Yielded by :func:`iter_supersteps` after each superstep's accounting has
     already landed in the caller-supplied ``per_query_ns`` / ``aggregate`` /
-    ``usage`` structures, so observers (the fused multi-device fold, the
-    streaming session layer) only need the per-superstep views.
+    ``usage`` structures, so observers (the placement ledger, the streaming
+    session layer, the scheduler's per-session fold) only need the
+    per-superstep views.
 
     Attributes
     ----------
@@ -166,33 +169,6 @@ class SuperstepReport:
     def steps(self) -> int:
         """Walker-steps executed this superstep (one per active walker)."""
         return int(self.active.size)
-
-
-def _drive_supersteps(
-    engine: WalkEngine,
-    frontier: WalkerFrontier,
-    streams,
-    per_query_ns: np.ndarray,
-    aggregate: CostCounters,
-    usage: dict[str, int],
-    fold: SuperstepFold | None = None,
-) -> int:
-    """Advance the whole frontier step-synchronously until every walk ends.
-
-    The shared core of :func:`run_batched` and the fused multi-device loop:
-    a thin consumer of :func:`iter_supersteps` that applies ``fold`` — when
-    given — to every superstep's (active walkers, counter batch) pair for
-    per-device bookkeeping.  Returns the number of walker-steps executed.
-    """
-    total_steps = 0
-    reports = iter_supersteps(
-        engine, frontier, streams, per_query_ns, aggregate, usage, track_finished=False
-    )
-    for report in reports:
-        total_steps += report.steps
-        if fold is not None:
-            fold(report.active, report.counters)
-    return total_steps
 
 
 #: Shared empty finished-set for untracked supersteps.
@@ -263,9 +239,10 @@ def iter_supersteps(
     accounting in ``per_query_ns`` (indexed by frontier position) and
     ``aggregate``, and yields a :class:`SuperstepReport` describing what
     happened — which walkers stepped, what they charged, and whose walks
-    completed.  The streaming service layer drives this directly to emit
-    per-superstep :class:`~repro.service.WalkChunk`s; :func:`_drive_supersteps`
-    wraps it for the one-shot paths.
+    completed.  A :class:`Wave` drives it for ``WalkEngine.run`` and for
+    standalone sessions (which emit per-superstep
+    :class:`~repro.service.WalkChunk`s from the reports); the scheduler drives
+    it over a :class:`FrontierRun`.
 
     Because every walker owns a counter-based random stream keyed by its
     query id and every walker's counts land in its own slot, suspending the
@@ -273,8 +250,8 @@ def iter_supersteps(
     frontiers) cannot change any walk, count or simulated time.
 
     ``track_finished=False`` skips the per-superstep completion bookkeeping
-    (reports carry an empty ``finished``) — used by the one-shot drivers,
-    which never read it, to keep the benchmarked hot path free of it.
+    (reports carry an empty ``finished``) — used by ``WalkEngine.run``,
+    which never reads it, to keep the benchmarked hot path free of it.
 
     ``run`` enables mid-flight frontier injection: when a
     :class:`FrontierRun` is given, the ``(frontier, streams, per_query_ns)``
@@ -415,71 +392,6 @@ def iter_supersteps(
         )
 
 
-def run_batched(
-    engine: WalkEngine,
-    queries: list[WalkQuery],
-    profile: ProfileResult | None = None,
-) -> WalkRunResult:
-    """Execute a query batch step-synchronously on the simulated device."""
-    from repro.runtime.engine import WalkRunResult
-
-    graph = engine.graph
-    validate_queries(queries, graph.num_nodes)
-    pool = StreamPool(engine.seed)
-    queue = DynamicQueryQueue(queries)
-    n = len(queries)
-
-    aggregate = CostCounters(bytes_per_weight=engine.weight_bytes)
-    usage: dict[str, int] = {}
-
-    # -- launch: claim the whole batch from the dynamic queue ------------- #
-    fetched = queue.fetch_batch(n)
-    fetch_counters = CounterBatch(n, bytes_per_weight=engine.weight_bytes)
-    fetch_counters.atomic_ops += 1
-    per_query_ns = engine.device.lane_times_ns(fetch_counters)
-    aggregate.merge(fetch_counters.totals())
-
-    frontier = WalkerFrontier(fetched)
-    streams = pool.batch([q.query_id for q in fetched])
-
-    faults = engine._fault_runtime(num_devices=1)
-    if faults is None:
-        total_steps = _drive_supersteps(
-            engine, frontier, streams, per_query_ns, aggregate, usage
-        )
-    else:
-        from repro.runtime.faults import resilient_supersteps
-
-        total_steps = 0
-        for _, report, replayed in resilient_supersteps(
-            engine, faults, frontier, pool, streams, per_query_ns, aggregate, usage
-        ):
-            if not replayed:
-                total_steps += report.steps
-
-    executor = KernelExecutor(engine.device)
-    kernel = executor.execute(
-        per_query_ns,
-        counters=aggregate,
-        scheduling=engine.scheduling,
-        recovery_ns=faults.recovery_ns if faults is not None else 0.0,
-    )
-    return WalkRunResult(
-        paths=frontier.paths(),
-        per_query_ns=per_query_ns,
-        counters=aggregate,
-        kernel=kernel,
-        sampler_usage=usage,
-        total_steps=total_steps,
-        profile=profile,
-        preprocess_time_ns=(
-            engine.compiled.preprocessing_time_ns if engine.compiled is not None else 0.0
-        ),
-        degraded_devices=tuple(faults.degraded) if faults is not None else (),
-        recovery_time_ns=faults.recovery_ns if faults is not None else 0.0,
-        checkpoints_taken=faults.checkpoints_taken if faults is not None else 0,
-    )
-
 
 def fold_counters_by_owner(
     owners: np.ndarray,
@@ -492,8 +404,8 @@ def fold_counters_by_owner(
     ``owners[j]`` names the device charged with slot ``j`` of ``counters``.
     Exact under any grouping of supersteps: every per-walker count is an
     integer, so the bincount sums (and their int truncation) cannot lose
-    precision — the property both the fused replicated fold and the sharded
-    ledger rely on for wave-composition invariance.
+    precision — what lets the continuous-batching scheduler split a fused
+    superstep back out per session exactly.
     """
     for name in CostCounters._COUNT_FIELDS:
         arr = getattr(counters, name)
@@ -518,220 +430,6 @@ def _partition_for_devices(engine: WalkEngine, queries: list[WalkQuery]):
     degrees = graph.indptr[starts + 1] - graph.indptr[starts] + 1
     return partition_queries(
         starts, engine.num_devices, engine.partition_policy, costs=degrees
-    )
-
-
-def run_multi_device(
-    engine: WalkEngine,
-    queries: list[WalkQuery],
-    profile: ProfileResult | None = None,
-) -> WalkRunResult:
-    """Execute a query batch across ``engine.num_devices`` replicated devices.
-
-    The Fig. 15 execution model made real: queries are partitioned by the
-    engine's ``partition_policy`` and the job completes at the makespan of
-    the slowest device.  In batched mode the devices execute through **one
-    fused frontier** (:func:`_run_multi_device_fused`): all devices' walkers
-    advance in the same shared superstep, per-device counter/kernel
-    bookkeeping is kept via device-id slots, and the D× Python-loop and
-    context-rebuild overhead of running the devices one after another
-    disappears.  Scalar mode keeps the serial per-device composition
-    (:func:`run_multi_device_serial`).
-
-    Placement cannot change any walk: each walker's counter-based stream is
-    keyed by its query id (every device derives streams from the same engine
-    seed), each walker's counters land in its own slot, and the dead-end /
-    termination rules are per-walker.  Paths, per-query simulated times and
-    counter totals are therefore bit-identical to a single-device run — and
-    the fused loop is bit-identical to the serial composition (the
-    multi-device parity and property suites enforce both) — while
-    ``kernel.time_ns`` becomes the cross-device makespan and
-    ``device_kernels`` records what each device did.
-    """
-    if engine.execution == "batched":
-        return _run_multi_device_fused(engine, queries, profile)
-    return run_multi_device_serial(engine, queries, profile)
-
-
-def _run_multi_device_fused(
-    engine: WalkEngine,
-    queries: list[WalkQuery],
-    profile: ProfileResult | None = None,
-) -> WalkRunResult:
-    """One shared superstep loop advancing every device's walkers together."""
-    from repro.runtime.engine import WalkRunResult
-    from repro.runtime.scheduler import split_for_devices
-
-    graph = engine.graph
-    validate_queries(queries, graph.num_nodes)
-    partitions = _partition_for_devices(engine, queries)
-    # Materialising the per-device batches enforces the every-query-exactly-
-    # once invariant the parity guarantee rests on, fused or not.
-    split_for_devices(queries, partitions)
-    num_devices = engine.num_devices
-
-    n = len(queries)
-    owner = np.empty(n, dtype=np.int64)
-    for d, part in enumerate(partitions):
-        owner[part] = d
-
-    aggregate = CostCounters(bytes_per_weight=engine.weight_bytes)
-    device_aggs = [
-        CostCounters(bytes_per_weight=engine.weight_bytes) for _ in range(num_devices)
-    ]
-    usage: dict[str, int] = {}
-
-    # -- launch ------------------------------------------------------------ #
-    # Each device's queue hands out its whole partition at one atomic per
-    # query (see DynamicQueryQueue.fetch_batch); charging one atomic into
-    # every walker's fetch slot reproduces the serial composition exactly.
-    fetch_counters = CounterBatch(n, bytes_per_weight=engine.weight_bytes)
-    fetch_counters.atomic_ops += 1
-    per_query_ns = engine.device.lane_times_ns(fetch_counters)
-    aggregate.merge(fetch_counters.totals())
-    for d, part in enumerate(partitions):
-        device_aggs[d].atomic_ops += int(part.size)
-
-    # The fused frontier holds every query in submission order; ``owner``
-    # remembers which simulated device each walker executes on.
-    frontier = WalkerFrontier(queries)
-    pool = StreamPool(engine.seed)
-    streams = pool.batch([q.query_id for q in queries])
-
-    def fold(active: np.ndarray, counters: CounterBatch) -> None:
-        """Attribute one superstep's counts to each walker's fixed device."""
-        fold_counters_by_owner(owner[active], counters, device_aggs, num_devices)
-
-    faults = engine._fault_runtime()
-    if faults is None:
-        total_steps = _drive_supersteps(
-            engine, frontier, streams, per_query_ns, aggregate, usage, fold=fold
-        )
-    else:
-        from repro.runtime.faults import reassign_owners, resilient_supersteps
-
-        def on_failure(dead: list[int]) -> None:
-            # Degraded mode: the dead device's walkers continue on the
-            # survivors.  Counts folded before the failure stay where the
-            # work actually executed; only future supersteps move.
-            reassign_owners(owner, dead, faults.survivors())
-
-        total_steps = 0
-        for _, report, replayed in resilient_supersteps(
-            engine,
-            faults,
-            frontier,
-            pool,
-            streams,
-            per_query_ns,
-            aggregate,
-            usage,
-            on_failure=on_failure,
-        ):
-            if not replayed:
-                total_steps += report.steps
-                fold(report.active, report.counters)
-        if faults.degraded and faults.survivors():
-            # Rebuild the per-device schedules against the surviving
-            # ownership: migrated walkers queue on their new device.
-            partitions = [
-                np.flatnonzero(owner == d) for d in range(num_devices)
-            ]
-
-    executor = KernelExecutor(engine.device)
-    device_kernels = [
-        executor.execute(
-            per_query_ns[part], counters=device_aggs[d], scheduling=engine.scheduling
-        )
-        for d, part in enumerate(partitions)
-    ]
-    kernel = _merge_device_kernels(
-        engine,
-        device_kernels,
-        aggregate,
-        n,
-        recovery_ns=faults.recovery_ns if faults is not None else 0.0,
-    )
-    return WalkRunResult(
-        paths=frontier.paths(),
-        per_query_ns=per_query_ns,
-        counters=aggregate,
-        kernel=kernel,
-        sampler_usage=usage,
-        total_steps=total_steps,
-        profile=profile,
-        preprocess_time_ns=(
-            engine.compiled.preprocessing_time_ns if engine.compiled is not None else 0.0
-        ),
-        num_devices=num_devices,
-        partition_policy=engine.partition_policy,
-        device_kernels=device_kernels,
-        degraded_devices=tuple(faults.degraded) if faults is not None else (),
-        recovery_time_ns=faults.recovery_ns if faults is not None else 0.0,
-        checkpoints_taken=faults.checkpoints_taken if faults is not None else 0,
-    )
-
-
-def run_multi_device_serial(
-    engine: WalkEngine,
-    queries: list[WalkQuery],
-    profile: ProfileResult | None = None,
-) -> WalkRunResult:
-    """Serial per-device composition (the fused loop's executable spec).
-
-    Every device runs its *own* engine instance — a fresh
-    :class:`~repro.walks.state.WalkerFrontier` and
-    :class:`~repro.runtime.scheduler.DynamicQueryQueue` through
-    :func:`run_batched` (or the scalar interpreter when
-    ``execution="scalar"``) — one after another.  Used directly for scalar
-    execution and as the reference the fused batched loop is property-tested
-    against.
-    """
-    from repro.runtime.engine import WalkRunResult
-    from repro.runtime.scheduler import split_for_devices
-
-    graph = engine.graph
-    validate_queries(queries, graph.num_nodes)
-    partitions = _partition_for_devices(engine, queries)
-    device_queries = split_for_devices(queries, partitions)
-
-    n = len(queries)
-    paths: list[list[int]] = [[] for _ in range(n)]
-    per_query_ns = np.zeros(n, dtype=np.float64)
-    aggregate = CostCounters(bytes_per_weight=engine.weight_bytes)
-    usage: dict[str, int] = {}
-    total_steps = 0
-    device_kernels = []
-
-    for part, sub_queries in zip(partitions, device_queries, strict=False):
-        if engine.execution == "batched":
-            sub = run_batched(engine, sub_queries, None)
-        else:
-            sub = engine._run_scalar(sub_queries, None)
-        device_kernels.append(sub.kernel)
-        per_query_ns[part] = sub.per_query_ns
-        for index, path in zip(part, sub.paths, strict=False):
-            paths[int(index)] = path
-        aggregate.merge(sub.counters)
-        for name, count in sub.sampler_usage.items():
-            usage[name] = usage.get(name, 0) + count
-        total_steps += sub.total_steps
-
-    kernel = _merge_device_kernels(engine, device_kernels, aggregate, n)
-    return WalkRunResult(
-        paths=paths,
-        per_query_ns=per_query_ns,
-        counters=aggregate,
-        kernel=kernel,
-        sampler_usage=usage,
-        total_steps=total_steps,
-        profile=profile,
-        preprocess_time_ns=(
-            engine.compiled.preprocessing_time_ns if engine.compiled is not None else 0.0
-        ),
-        num_devices=engine.num_devices,
-        partition_policy=engine.partition_policy,
-        device_kernels=device_kernels,
     )
 
 
@@ -1119,126 +817,382 @@ class ShardedRunAccounting:
         return kernels
 
 
-def run_sharded(
-    engine: WalkEngine,
-    queries: list[WalkQuery],
-    profile: ProfileResult | None = None,
-) -> WalkRunResult:
-    """Execute a query batch across ``engine.num_devices`` graph shards.
+def fold_query_counts(counts: np.ndarray, columns: np.ndarray, counters: CounterBatch) -> None:
+    """Add one superstep's per-walker counts into a per-query count matrix.
 
-    The graph-partitioned counterpart of :func:`run_multi_device`: instead
-    of replicating the graph and splitting the queries, the *graph* is split
-    into per-device node-range shards
-    (:class:`~repro.graph.sharded.ShardedCSRGraph`) and every walker
-    executes each step on the device owning its current node, migrating —
-    at a modeled interconnect cost — whenever a sampled step lands on a
-    remote shard.
-
-    The walk execution itself is the same fused superstep loop as every
-    other mode, so paths, counter totals and per-query base times are
-    bit-identical to a replicated (or single-device) run; what sharding
-    changes is *where* each step's work lands (per-device kernels follow
-    the walkers around) and the new communication term — per-query
-    migration time, per-device interconnect time and the resulting
-    makespan.
+    ``counts`` is ``(len(_COUNT_FIELDS), num_queries)``; slot ``j`` of
+    ``counters`` lands in column ``columns[j]``.  Integer counts, so the
+    sums are exact whatever the order or grouping of supersteps.
     """
-    from repro.runtime.engine import WalkRunResult
+    for row, name in enumerate(CostCounters._COUNT_FIELDS):
+        column = getattr(counters, name)
+        if column.any():
+            counts[row, columns] += column
 
-    graph = engine.graph
-    validate_queries(queries, graph.num_nodes)
-    if engine.execution != "batched":
-        raise SimulationError(
-            "sharded graph placement requires the batched execution mode"
-        )
-    sharded = engine._sharded_graph()
-    n = len(queries)
 
-    aggregate = CostCounters(bytes_per_weight=engine.weight_bytes)
-    usage: dict[str, int] = {}
-    acct = ShardedRunAccounting(engine, sharded, ghost=engine._ghost_cache())
+#: Row of the queue-fetch atomic in a per-query count matrix.
+_ATOMIC_ROW = CostCounters._COUNT_FIELDS.index("atomic_ops")
 
-    # -- launch: every query is submitted to its start node's owner ------- #
-    fetch_counters = CounterBatch(n, bytes_per_weight=engine.weight_bytes)
-    fetch_counters.atomic_ops += 1
-    per_query_ns = engine.device.lane_times_ns(fetch_counters)
-    aggregate.merge(fetch_counters.totals())
-    starts = np.array([q.start_node for q in queries], dtype=np.int64)
-    acct.charge_fetch(starts, per_query_ns)
 
-    frontier = WalkerFrontier(queries)
-    pool = StreamPool(engine.seed)
-    streams = pool.batch([q.query_id for q in queries])
+class WaveStep(NamedTuple):
+    """What one :meth:`Wave.advance` call executed.
 
-    total_steps = 0
-    faults = engine._fault_runtime()
-    if faults is None:
-        reports = iter_supersteps(
-            engine, frontier, streams, per_query_ns, aggregate, usage, track_finished=False
-        )
-        for step_ordinal, report in enumerate(reports):
-            total_steps += report.steps
-            acct.observe(report, frontier, step_ordinal)
-    else:
-        from repro.runtime.faults import resilient_supersteps
+    ``finished`` holds the wave positions whose walks completed (ascending);
+    ``counters`` is the step's operation totals, filled only when some walk
+    completed (the only time a streaming caller reads them).
+    """
 
-        def on_failure(dead: list[int]) -> None:
-            acct.take_over(dead, faults.survivors(), frontier)
+    finished: np.ndarray
+    steps: int
+    counters: CostCounters | None
 
-        for step_ordinal, report, replayed in resilient_supersteps(
-            engine,
-            faults,
-            frontier,
-            pool,
-            streams,
-            per_query_ns,
-            aggregate,
-            usage,
-            on_failure=on_failure,
-        ):
-            if replayed:
-                # Bit-identical re-execution: the first pass already landed
-                # this superstep's counts, hosting and migrations.
-                continue
-            total_steps += report.steps
-            acct.observe(report, frontier, step_ordinal)
-            src, dst = acct.migrations_at(step_ordinal)
-            faults.charge_interconnect_drop(
-                step_ordinal, src, dst, WALKER_MIGRATION_BYTES
+
+class Wave:
+    """One claimed batch of queries, executed to completion.
+
+    The one execution driver: :meth:`WalkEngine.run` drains a single wave,
+    a standalone :class:`~repro.service.WalkSession` streams one wave per
+    batch of queued submissions.  Batched engines advance the wave one
+    superstep at a time through ``supersteps`` (:func:`iter_supersteps`, or
+    :func:`~repro.runtime.faults.resilient_supersteps` when the engine has a
+    fault plan or checkpointing); scalar engines interpret one whole walk
+    per :meth:`advance` through :meth:`WalkEngine._scalar_walk`.  Every
+    per-device consequence — fetch attribution, hosting, failover, pricing
+    — is the :class:`PlacementLedger`'s job; the wave only executes.
+
+    ``track_finished=False`` skips per-walk completion bookkeeping (every
+    step then reports no finished walk) for callers that only want the
+    drained result.
+    """
+
+    def __init__(
+        self,
+        ledger: PlacementLedger,
+        queries: list[WalkQuery],
+        supersteps=iter_supersteps,
+        track_finished: bool = True,
+    ) -> None:
+        engine = ledger.engine
+        self.ledger = ledger
+        self.queries = queries
+        self.offset = len(ledger.queries)  # submission position of queries[0]
+        self.per_ns, self.counts = ledger.charge_fetch(queries, self.offset)
+        self.paths: list[list[int] | None] = [None] * len(queries)
+        self.track_finished = track_finished
+        self.faults = engine._fault_runtime()
+        self.ordinal = 0  # executed supersteps == every live walker's step index
+        self.done = False
+        self.frontier: WalkerFrontier | None = None
+        pool = StreamPool(engine.seed)
+        if engine.execution != "batched":
+            self._pool = pool
+            self._pos = 0
+            return
+        self.frontier = WalkerFrontier(queries)
+        streams = pool.batch([q.query_id for q in queries])
+        if self.faults is None:
+            self._reports = supersteps(
+                engine, self.frontier, streams, self.per_ns,
+                ledger.aggregate, ledger.usage, track_finished=track_finished,
+            )
+        else:
+            self._reports = resilient_supersteps(
+                engine, self.faults, self.frontier, pool, streams, self.per_ns,
+                ledger.aggregate, ledger.usage, track_finished=track_finished,
+                on_failure=lambda dead: ledger.failover(self, dead),
             )
 
-    device_kernels = acct.device_kernels(engine.scheduling)
-    kernel = _merge_device_kernels(
-        engine,
-        device_kernels,
-        aggregate,
-        n,
-        recovery_ns=faults.recovery_ns if faults is not None else 0.0,
-    )
-    return WalkRunResult(
-        paths=frontier.paths(),
-        per_query_ns=per_query_ns,
-        counters=aggregate,
-        kernel=kernel,
-        sampler_usage=usage,
-        total_steps=total_steps,
-        profile=profile,
-        preprocess_time_ns=(
-            engine.compiled.preprocessing_time_ns if engine.compiled is not None else 0.0
-        ),
-        num_devices=engine.num_devices,
-        partition_policy=engine.partition_policy,
-        device_kernels=device_kernels,
-        graph_placement="sharded",
-        shard_policy=sharded.policy,
-        per_query_comm_ns=acct.per_query_comm_ns(n),
-        comm_time_ns=float(acct.comm_ns.sum()),
-        remote_steps=acct.remote_steps,
-        ghost_hits=acct.ghost_hits,
-        migration_batches=acct.migration_batches,
-        degraded_devices=tuple(faults.degraded) if faults is not None else (),
-        recovery_time_ns=faults.recovery_ns if faults is not None else 0.0,
-        checkpoints_taken=faults.checkpoints_taken if faults is not None else 0,
-    )
+    @property
+    def in_flight(self) -> int:
+        """Walks of this wave that have not completed yet."""
+        if self.frontier is None:
+            return len(self.queries) - self._pos
+        return int(self.frontier.active_indices().size)
+
+    def drain(self) -> None:
+        """Advance until every walk of the wave has completed."""
+        while not self.done:
+            self.advance()
+
+    def advance(self) -> WaveStep | None:
+        """Execute one superstep (batched) or one walk (scalar).
+
+        Returns ``None`` when the call executed nothing new: a superstep
+        replayed after a device failure (its first execution was already
+        accounted), or the wave just completed — ``done`` is then set and
+        the wave's accounting has been handed to the ledger.
+        """
+        if self.frontier is None:
+            return self._advance_scalar()
+        item = next(self._reports, None)
+        if item is None:
+            self._finish()
+            return None
+        if self.faults is None:
+            report = item
+        else:
+            _, report, replayed = item
+            if replayed:
+                return None
+        self.ledger.observe(self, report)
+        self.ordinal += 1
+        finished = report.finished
+        if finished.size == 0:
+            return WaveStep(finished, report.steps, None)
+        for i in finished:
+            self.paths[i] = self.frontier.path(i)
+        return WaveStep(finished, report.steps, report.counters.totals())
+
+    def _advance_scalar(self) -> WaveStep | None:
+        pos = self._pos
+        if pos == len(self.queries):
+            self._finish()
+            return None
+        ledger = self.ledger
+        query = self.queries[pos]
+        path, query_ns, counters, steps = ledger.engine._scalar_walk(
+            query, self._pool.stream(query.query_id), ledger.usage,
+            start_ns=float(self.per_ns[pos]),
+        )
+        ledger.aggregate.merge(counters)
+        ledger.total_steps += steps
+        self.per_ns[pos] = query_ns
+        if self.counts is not None:
+            self.counts[:, pos] += [getattr(counters, n) for n in CostCounters._COUNT_FIELDS]
+        self.paths[pos] = path
+        self._pos += 1
+        # The walk is the step: its counters include its queue fetch.
+        counters = counters.copy()
+        counters.atomic_ops += 1
+        return WaveStep(np.array([pos], dtype=np.int64), steps, counters)
+
+    def _finish(self) -> None:
+        paths = self.paths
+        if self.frontier is not None and not self.track_finished:
+            paths = self.frontier.paths()
+        self.ledger.record(self.queries, paths, self.per_ns, self.counts)
+        if self.faults is not None:
+            self.ledger.absorb(self.faults)
+        self.done = True
+
+
+class PlacementLedger:
+    """Where a run's work lands: per-device accounting for every placement.
+
+    One ledger accompanies one :meth:`WalkEngine.run` or one session, and
+    turns the executed waves into a :class:`WalkRunResult`.  Placement is an
+    owner map over the same executed work:
+
+    * **replicated, one device** — everything lands on device 0, so the
+      ledger keeps no per-device state and does no per-superstep folding;
+    * **replicated, D devices** — each query belongs to its partition's
+      device.  The partition is taken over the *whole* submitted batch when
+      the result is built (the balanced policy needs every start node), so
+      the ledger keeps a per-query counter matrix and folds it per device
+      only then.  A device failure re-homes the dead device's queries round
+      robin onto the survivors: counts executed before the failure stay on
+      the device that ran them, later ones follow the new owner;
+    * **sharded** — each walker-step belongs to the shard hosting the
+      walker; :class:`ShardedRunAccounting` follows the walkers around,
+      takes over a dead device's shards and logs the migrations an
+      interconnect drop must resend.
+
+    Waves report to the ledger through :meth:`charge_fetch`,
+    :meth:`observe`, :meth:`failover`, :meth:`record` and :meth:`absorb`;
+    the continuous-batching scheduler, which executes attached sessions in
+    its own fused frontier, feeds the same ledger through :meth:`record`.
+    """
+
+    def __init__(self, engine: WalkEngine) -> None:
+        self.engine = engine
+        self.sharded = None
+        if engine.num_devices > 1 and engine.graph_placement == "sharded":
+            self.sharded = ShardedRunAccounting(
+                engine, engine._sharded_graph(), ghost=engine._ghost_cache()
+            )
+        #: Whether waves keep a per-query counter matrix (replicated, D > 1).
+        self.tracks_counts = engine.num_devices > 1 and self.sharded is None
+        self.aggregate = CostCounters(bytes_per_weight=engine.weight_bytes)
+        self.usage: dict[str, int] = {}
+        self.total_steps = 0
+        #: Executed queries and their walks, in submission order.
+        self.queries: list[WalkQuery] = []
+        self.paths: list[list[int]] = []
+        self._ns: list[np.ndarray] = []
+        self._counts: list[np.ndarray] = []
+        # Replicated failovers: (wave offset, the wave's counts so far, dead
+        # devices, survivors), in the order the failures happened.
+        self._failovers: list[tuple[int, np.ndarray, list[int], list[int]]] = []
+        self.recovery_ns = 0.0
+        self.checkpoints_taken = 0
+        self.degraded: list[int] = []
+
+    # -- what waves report ---------------------------------------------- #
+    def charge_fetch(
+        self, queries: list[WalkQuery], offset: int
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Charge each query's queue fetch (one atomic, priced per slot).
+
+        Returns the wave's per-query time accumulator, seeded with the fetch
+        times, and its per-query counter matrix (``None`` unless the ledger
+        tracks counts).  Lane pricing is per slot, so splitting one launch
+        into several waves cannot change any walker's accounting.
+        """
+        engine = self.engine
+        fetch = CounterBatch(len(queries), bytes_per_weight=engine.weight_bytes)
+        fetch.atomic_ops += 1
+        self.aggregate.merge(fetch.totals())
+        per_ns = engine.device.lane_times_ns(fetch)
+        counts = None
+        if self.sharded is not None:
+            starts = np.array([q.start_node for q in queries], dtype=np.int64)
+            self.sharded.charge_fetch(starts, per_ns, offset=offset)
+        elif self.tracks_counts:
+            counts = np.zeros((len(CostCounters._COUNT_FIELDS), len(queries)), dtype=np.int64)
+            counts[_ATOMIC_ROW] = 1
+        return per_ns, counts
+
+    def observe(self, wave: Wave, report: SuperstepReport) -> None:
+        """Fold one executed (not replayed) superstep of ``wave``."""
+        self.total_steps += report.steps
+        if self.sharded is not None:
+            self.sharded.observe(report, wave.frontier, wave.ordinal, offset=wave.offset)
+            if wave.faults is not None:
+                src, dst = self.sharded.migrations_at(wave.ordinal)
+                wave.faults.charge_interconnect_drop(
+                    wave.ordinal, src, dst, WALKER_MIGRATION_BYTES
+                )
+        elif wave.counts is not None:
+            fold_query_counts(wave.counts, report.active, report.counters)
+
+    def failover(self, wave: Wave, dead: list[int]) -> None:
+        """Degraded mode: move the dead devices' work onto the survivors."""
+        survivors = wave.faults.survivors()
+        if self.sharded is not None:
+            frontier = wave.frontier
+            if wave.offset:
+                # take_over indexes walkers by session-wide position.  The
+                # walkers of earlier waves have all finished and are never
+                # observed again, so their re-hosting is immaterial.
+                frontier = SimpleNamespace(current=np.concatenate(
+                    [np.zeros(wave.offset, dtype=np.int64), frontier.current]
+                ))
+            self.sharded.take_over(dead, survivors, frontier)
+        elif self.tracks_counts:
+            self._failovers.append((wave.offset, wave.counts.copy(), dead, survivors))
+
+    def record(
+        self,
+        queries: list[WalkQuery],
+        paths: list[list[int]],
+        per_ns: np.ndarray,
+        counts: np.ndarray | None,
+    ) -> None:
+        """Append finished queries (submission order) with their accounting."""
+        self.queries.extend(queries)
+        self.paths.extend(paths)
+        self._ns.append(per_ns)
+        if counts is not None:
+            self._counts.append(counts)
+
+    def absorb(self, faults) -> None:
+        """Fold a finished wave's recovery ledger."""
+        self.recovery_ns += faults.recovery_ns
+        self.checkpoints_taken += faults.checkpoints_taken
+        self.degraded.extend(d for d in faults.degraded if d not in self.degraded)
+
+    # -- the result ------------------------------------------------------ #
+    def _replicated_devices(self, per_query_ns: np.ndarray) -> list[KernelResult]:
+        """Per-device kernels over the full-batch partition."""
+        engine = self.engine
+        num_devices = engine.num_devices
+        counts = np.concatenate(self._counts, axis=1)
+        owner = np.empty(counts.shape[1], dtype=np.int64)
+        for d, part in enumerate(_partition_for_devices(engine, self.queries)):
+            owner[part] = d
+        device_counts = np.zeros((counts.shape[0], num_devices), dtype=np.int64)
+
+        def fold(delta: np.ndarray) -> None:
+            for d in range(num_devices):
+                device_counts[:, d] += delta[:, owner == d].sum(axis=1)
+
+        before = np.zeros_like(counts)
+        for offset, wave_counts, dead, survivors in self._failovers:
+            upto = np.zeros_like(counts)
+            upto[:, :offset] = counts[:, :offset]
+            upto[:, offset:offset + wave_counts.shape[1]] = wave_counts
+            fold(upto - before)
+            reassign_owners(owner, dead, survivors)
+            before = upto
+        fold(counts - before)
+
+        executor = KernelExecutor(engine.device)
+        kernels = []
+        for d in range(num_devices):
+            agg = CostCounters(bytes_per_weight=engine.weight_bytes)
+            for row, name in enumerate(CostCounters._COUNT_FIELDS):
+                setattr(agg, name, int(device_counts[row, d]))
+            part = np.flatnonzero(owner == d)
+            kernels.append(
+                executor.execute(per_query_ns[part], counters=agg, scheduling=engine.scheduling)
+            )
+        return kernels
+
+    def result(self, profile: ProfileResult | None = None) -> WalkRunResult:
+        """The exact :class:`WalkRunResult` of every query recorded so far."""
+        from repro.runtime.engine import WalkRunResult
+
+        engine = self.engine
+        n = len(self.queries)
+        per_query_ns = np.concatenate(self._ns) if self._ns else np.zeros(0)
+        aggregate = self.aggregate.copy()
+        sharded = self.sharded
+        extra: dict[str, object] = {}
+        if sharded is not None:
+            device_kernels = sharded.device_kernels(engine.scheduling)
+            extra = {
+                "graph_placement": "sharded",
+                "shard_policy": sharded.sharded.policy,
+                "per_query_comm_ns": sharded.per_query_comm_ns(n),
+                "comm_time_ns": float(sharded.comm_ns.sum()),
+                "remote_steps": sharded.remote_steps,
+                "ghost_hits": sharded.ghost_hits,
+                "migration_batches": sharded.migration_batches,
+            }
+        elif self.tracks_counts:
+            device_kernels = self._replicated_devices(per_query_ns)
+        else:
+            device_kernels = []
+        if device_kernels:
+            kernel = _merge_device_kernels(
+                engine, device_kernels, aggregate, n, recovery_ns=self.recovery_ns
+            )
+            extra.update(num_devices=engine.num_devices, partition_policy=engine.partition_policy)
+        else:
+            kernel = KernelExecutor(engine.device).execute(
+                per_query_ns,
+                counters=aggregate,
+                scheduling=engine.scheduling,
+                recovery_ns=self.recovery_ns,
+            )
+        return WalkRunResult(
+            paths=[list(p) for p in self.paths],
+            per_query_ns=per_query_ns,
+            counters=aggregate,
+            kernel=kernel,
+            sampler_usage=dict(self.usage),
+            total_steps=self.total_steps,
+            profile=profile,
+            preprocess_time_ns=(
+                engine.compiled.preprocessing_time_ns if engine.compiled is not None else 0.0
+            ),
+            device_kernels=device_kernels,
+            degraded_devices=tuple(self.degraded),
+            recovery_time_ns=self.recovery_ns,
+            checkpoints_taken=self.checkpoints_taken,
+            compiler_warnings=engine._compiler_warnings(),
+            **extra,
+        )
 
 
 def _merge_device_kernels(

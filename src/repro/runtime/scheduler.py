@@ -103,33 +103,6 @@ class DynamicQueryQueue:
         return f"DynamicQueryQueue({self.remaining}/{len(self._queries)} remaining)"
 
 
-def split_for_devices(
-    queries: list[WalkQuery],
-    partitions: list[np.ndarray],
-) -> list[list[WalkQuery]]:
-    """Materialise per-device query batches from partition index arrays.
-
-    The multi-device driver partitions *indices* (cheap numpy work in
-    :func:`repro.gpusim.multigpu.partition_queries`) and this helper turns
-    them into the per-device query lists each device's
-    :class:`DynamicQueryQueue` is built from.  It also enforces the
-    scheduling-layer invariant the parity guarantee rests on: the partitions
-    must assign every query index exactly once — a dropped query would
-    silently shorten the result set, a duplicated one would double-consume
-    its random stream.
-    """
-    assigned = np.concatenate([np.asarray(p, dtype=np.int64) for p in partitions]) \
-        if partitions else np.zeros(0, dtype=np.int64)
-    if assigned.size != len(queries) or not np.array_equal(
-        np.sort(assigned), np.arange(len(queries), dtype=np.int64)
-    ):
-        raise SimulationError(
-            "device partitions must assign every query index exactly once "
-            f"(got {assigned.size} assignments for {len(queries)} queries)"
-        )
-    return [[queries[int(i)] for i in part] for part in partitions]
-
-
 def validate_queries(queries: list[WalkQuery], num_nodes: int) -> None:
     """Sanity-check a query batch against the target graph.
 

@@ -58,7 +58,12 @@ import numpy as np
 from repro.errors import QueueFull, ServiceError
 from repro.gpusim.counters import CostCounters, CounterBatch
 from repro.runtime.faults import restore_checkpoint, take_checkpoint
-from repro.runtime.frontier import FrontierRun, fold_counters_by_owner, iter_supersteps
+from repro.runtime.frontier import (
+    FrontierRun,
+    fold_counters_by_owner,
+    fold_query_counts,
+    iter_supersteps,
+)
 from repro.walks.state import WalkQuery
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -168,8 +173,8 @@ class _Group:
     """One fusion group: sessions compatible enough to share a frontier."""
 
     __slots__ = ("key", "engine", "seed", "run", "gen", "sessions", "owner",
-                 "tenants", "aggregate", "usage", "track_counts", "counts",
-                 "faults", "checkpoint", "ordinal")
+                 "tenants", "aggregate", "usage", "counts", "faults",
+                 "checkpoint", "ordinal")
 
     def __init__(self, key, engine, track_counts: bool) -> None:
         self.key = key
@@ -191,11 +196,12 @@ class _Group:
         # for group-level introspection.
         self.aggregate = CostCounters(bytes_per_weight=engine.weight_bytes)
         self.usage: dict[str, int] = {}
-        self.track_counts = track_counts
-        self.counts: dict[str, np.ndarray] = (
-            {name: np.zeros(0, dtype=np.int64) for name in CostCounters._COUNT_FIELDS}
+        # Per-walker counter matrix (fused pos columns), kept only for
+        # sessions whose ledger prices a full-batch device partition.
+        self.counts = (
+            np.zeros((len(CostCounters._COUNT_FIELDS), 0), dtype=np.int64)
             if track_counts
-            else {}
+            else None
         )
 
 
@@ -317,7 +323,7 @@ class ServiceScheduler:
                 if session._scheduler is self
                 else "session is attached to a different scheduler"
             )
-        if session.pending or session._wave is not None or session._executed:
+        if session.pending or session._wave is not None or session._ledger.queries:
             raise ServiceError(
                 "attach before submitting: the session already has queued, "
                 "in-flight or executed work of its own"
@@ -393,7 +399,7 @@ class ServiceScheduler:
         )
         group = self._groups.get(key)
         if group is None:
-            group = _Group(key, session.engine, track_counts=session._track_counts)
+            group = _Group(key, session.engine, track_counts=session._ledger.tracks_counts)
             self._groups[key] = group
         return group
 
@@ -946,12 +952,10 @@ class ServiceScheduler:
             [group.owner, np.array([p.entry.gidx for p in batch], dtype=np.int64)]
         )
         group.tenants.extend(p.tenant for p in batch)
-        if group.track_counts:
-            for name in CostCounters._COUNT_FIELDS:
-                group.counts[name] = np.concatenate(
-                    [group.counts[name], np.zeros(k, dtype=np.int64)]
-                )
-            group.counts["atomic_ops"][positions] = 1
+        if group.counts is not None:
+            grown = np.zeros((group.counts.shape[0], k), dtype=np.int64)
+            grown[CostCounters._COUNT_FIELDS.index("atomic_ops")] = 1
+            group.counts = np.concatenate([group.counts, grown], axis=1)
 
         # Per-session fetch accounting: one queue atomic per admitted
         # walker, exactly as a solo wave launch charges it (lane pricing is
@@ -971,7 +975,7 @@ class ServiceScheduler:
         for gidx, count in per_entry.items():
             fetch = CounterBatch(count, bytes_per_weight=group.engine.weight_bytes)
             fetch.atomic_ops += 1
-            group.sessions[gidx].session._aggregate.merge(fetch.totals())
+            group.sessions[gidx].session._ledger.aggregate.merge(fetch.totals())
         self._queued -= k
         self._inflight += k
         # Admission grew the frontier, so the group's restore point no
@@ -1082,11 +1086,8 @@ class ServiceScheduler:
         why the per-session results stay bit-identical.
         """
         engine = group.engine
-        if group.track_counts and report.active.size:
-            for name in CostCounters._COUNT_FIELDS:
-                column = getattr(report.counters, name)
-                if column.any():
-                    group.counts[name][report.active] += column
+        if group.counts is not None and report.active.size:
+            fold_query_counts(group.counts, report.active, report.counters)
 
         steps_by: dict[int, int] = {}
         tick_counters: dict[int, CostCounters] = {}
@@ -1104,9 +1105,9 @@ class ServiceScheduler:
             )
             for j, gidx in enumerate(present):
                 entry = group.sessions[int(gidx)]
-                session = entry.session
-                session._aggregate.merge(folded[j])
-                session._total_steps += int(step_counts[j])
+                ledger = entry.session._ledger
+                ledger.aggregate.merge(folded[j])
+                ledger.total_steps += int(step_counts[j])
                 entry.tenant.steps += int(step_counts[j])
                 entry.tenant.lane_ns += float(lane_ns[j])
                 steps_by[int(gidx)] = int(step_counts[j])
@@ -1123,7 +1124,7 @@ class ServiceScheduler:
                     used = np.bincount(compact[mask], minlength=present.size)
                     for j, gidx in enumerate(present):
                         if used[j]:
-                            usage = group.sessions[int(gidx)].session._usage
+                            usage = group.sessions[int(gidx)].session._ledger.usage
                             usage[name] = usage.get(name, 0) + int(used[j])
 
         if report.finished.size == 0:
@@ -1161,15 +1162,14 @@ class ServiceScheduler:
     # Finalisation
     # ------------------------------------------------------------------ #
     def _flush(self, entry: _SessionEntry) -> None:
-        """Move an idle session's finished accounting into its collect state.
+        """Feed an idle session's finished walkers into its ledger.
 
-        Appends one submission-ordered accounting chunk covering every
-        walker admitted since the previous flush — the scheduled analogue
-        of a solo wave's finalisation, producing the same
-        ``_paths``/``_ns_chunks``/``_count_chunks`` layout ``collect()``
-        re-prices.  Only legal when the session has nothing queued or in
-        flight (its admitted-so-far set is then exactly its submitted-so-far
-        set, so submission order is recoverable).
+        Records every walker admitted since the previous flush in
+        submission order — the scheduled analogue of a standalone wave
+        finishing, so ``collect()`` prices both the same way.  Only legal
+        when the session has nothing queued or in flight (its
+        admitted-so-far set is then exactly its submitted-so-far set, so
+        submission order is recoverable).
         """
         self._check_quarantined(entry)
         start, end = entry.flushed, len(entry.fused_pos)
@@ -1181,14 +1181,13 @@ class ServiceScheduler:
         group = entry.group
         order = sorted(range(start, end), key=lambda i: entry.sub_ords[i])
         fused = np.array([entry.fused_pos[i] for i in order], dtype=np.int64)
-        session._paths.extend(
-            session._path_by_qid[entry.queries[i].query_id] for i in order
+        queries = [entry.queries[i] for i in order]
+        session._ledger.record(
+            queries,
+            [session._path_by_qid[q.query_id] for q in queries],
+            group.run.per_query_ns[fused],
+            group.counts[:, fused] if group.counts is not None else None,
         )
-        session._ns_chunks.append(group.run.per_query_ns[fused])
-        if session._track_counts:
-            for name in CostCounters._COUNT_FIELDS:
-                session._count_chunks[name].append(group.counts[name][fused])
-        session._executed += end - start
         entry.flushed = end
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -1,4 +1,4 @@
-"""Tests for multi-GPU partitioning and execution."""
+"""Tests for multi-GPU query partitioning and the imbalance statistic."""
 
 from __future__ import annotations
 
@@ -9,7 +9,8 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.gpusim.device import A6000
-from repro.gpusim.multigpu import MultiGPUExecutor, partition_queries
+from repro.gpusim.executor import KernelExecutor
+from repro.gpusim.multigpu import occupied_load_imbalance, partition_queries
 
 
 @pytest.fixture
@@ -90,66 +91,20 @@ class TestPartitioning:
             assert sum(p.size == 0 for p in parts) >= 5
 
 
-class TestMultiGPUExecutor:
-    def test_more_gpus_never_slower(self, device):
-        per_query = np.random.default_rng(0).uniform(5, 15, size=200)
-        starts = np.arange(200)
-        times = []
-        for gpus in (1, 2, 4):
-            result = MultiGPUExecutor(device, gpus).execute(per_query, starts)
-            times.append(result.time_ns)
-        assert times[1] <= times[0]
-        assert times[2] <= times[1]
-
-    def test_speedup_roughly_linear_for_uniform_work(self, device):
-        per_query = np.full(512, 10.0)
-        starts = np.arange(512)
-        single = MultiGPUExecutor(device, 1).execute(per_query, starts)
-        quad = MultiGPUExecutor(device, 4).execute(per_query, starts)
-        assert quad.speedup_over(single.time_ns) > 2.5
-
-    def test_mismatched_arrays_rejected(self, device):
-        with pytest.raises(SimulationError):
-            MultiGPUExecutor(device, 2).execute(np.ones(5), np.arange(4))
-
-    def test_per_gpu_results_exposed(self, device):
-        result = MultiGPUExecutor(device, 3).execute(np.ones(30), np.arange(30))
-        assert len(result.per_gpu) == 3
-
-    def test_load_imbalance_reported(self, device):
-        per_query = np.ones(64)
-        result = MultiGPUExecutor(device, 4).execute(per_query, np.arange(64))
-        assert result.load_imbalance >= 1.0
-
-    def test_load_imbalance_ignores_idle_devices(self, device):
+class TestOccupiedLoadImbalance:
+    def test_ignores_idle_devices(self, device):
         """Empty partitions must not inflate the imbalance statistic.
 
         Two uniform queries on eight devices: the two working devices are
         perfectly balanced, so the imbalance is 1.0 even though six devices
-        idle (the old all-device mean reported 4.0 here).
+        idle (an all-device mean would report 4.0 here).
         """
-        result = MultiGPUExecutor(device, 8).execute(
-            np.ones(2), np.arange(2), policy="range"
-        )
-        occupied = [r for r in result.per_gpu if r.num_queries > 0]
-        assert len(occupied) == 2
-        assert result.load_imbalance == pytest.approx(1.0)
+        executor = KernelExecutor(device)
+        kernels = [executor.execute(np.ones(1)) for _ in range(2)]
+        kernels += [executor.execute(np.zeros(0)) for _ in range(6)]
+        assert occupied_load_imbalance(kernels) == pytest.approx(1.0)
 
-    def test_load_imbalance_all_idle_is_unity(self, device):
-        result = MultiGPUExecutor(device, 4).execute(
-            np.zeros(0), np.zeros(0, dtype=np.int64)
-        )
-        assert result.load_imbalance == 1.0
-        assert result.time_ns == 0.0
-
-    def test_balanced_policy_packs_measured_times(self, device):
-        """The cost-array path gives 'balanced' the real per-query times."""
-        per_query = np.array([100.0, 1.0, 1.0, 1.0, 1.0, 1.0])
-        balanced = MultiGPUExecutor(device, 2).execute(
-            per_query, np.arange(6), policy="balanced"
-        )
-        range_result = MultiGPUExecutor(device, 2).execute(
-            per_query, np.arange(6), policy="range"
-        )
-        assert balanced.time_ns <= range_result.time_ns
-        assert balanced.load_imbalance <= range_result.load_imbalance
+    def test_all_idle_is_unity(self, device):
+        executor = KernelExecutor(device)
+        kernels = [executor.execute(np.zeros(0)) for _ in range(4)]
+        assert occupied_load_imbalance(kernels) == 1.0

@@ -7,7 +7,10 @@ checkpoint cadence, a recovered run must reproduce the fault-free run's
 paths, per-query base times and counter totals bit-identically.  Only the
 simulated clock may differ (the recovery ledger).  Hypothesis generates the
 fault schedules; the invariant is asserted across the batched single-device,
-fused multi-device, sharded and scheduler-fused execution modes.
+fused multi-device, sharded and scheduler-fused execution modes.  Two more
+modes hold a standalone session to the engine under the same plans: its
+``collect()`` must equal ``engine.run()`` in every field, simulated clock
+included, for replicated and sharded placement on two devices.
 
 The example budget is bounded for tier-1 (``CHAOS_MAX_EXAMPLES``, default
 15); the tier-2 nightly re-runs the suite with a larger budget to explore
@@ -18,6 +21,8 @@ from __future__ import annotations
 
 import dataclasses
 import os
+
+import pytest
 
 import numpy as np
 from hypothesis import given, settings
@@ -165,3 +170,47 @@ class TestChaosRecoveryInvariant:
         if "scheduler" not in _references:
             _references["scheduler"] = run(base_config)
         assert_bit_identical(faulty, _references["scheduler"])
+
+    @pytest.mark.parametrize("placement", ["replicated", "sharded"])
+    @settings(max_examples=CHAOS_MAX_EXAMPLES, deadline=None)
+    @given(plan=fault_plans, interval=intervals)
+    def test_standalone_session_equals_engine(self, placement, plan, interval):
+        config = FlexiWalkerConfig(
+            device=DEVICE, seed=3, num_devices=2, graph_placement=placement,
+            fault_plan=plan, checkpoint_interval=interval,
+        )
+        service = WalkService(GRAPH, fleet=DeviceFleet(DEVICE, 2))
+        session = service.session(DeepWalkSpec(), config)
+        session.submit(QUERIES)
+        assert_same_result(session.collect(), session.engine.run(QUERIES))
+
+
+def assert_same_kernel(kernel, reference) -> None:
+    for f in dataclasses.fields(kernel):
+        value, expected = getattr(kernel, f.name), getattr(reference, f.name)
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(value, expected), f.name
+        elif isinstance(value, CostCounters):
+            assert value.as_dict() == expected.as_dict(), f.name
+        else:
+            assert value == expected, f.name
+
+
+def assert_same_result(result, reference) -> None:
+    """Every field of two run results, except host wall time and profile."""
+    for f in dataclasses.fields(result):
+        if f.name in ("wall_clock_s", "profile"):
+            continue
+        value, expected = getattr(result, f.name), getattr(reference, f.name)
+        if f.name == "kernel":
+            assert_same_kernel(value, expected)
+        elif f.name == "device_kernels":
+            assert len(value) == len(expected)
+            for kernel, ref in zip(value, expected, strict=True):
+                assert_same_kernel(kernel, ref)
+        elif isinstance(value, np.ndarray):
+            assert np.array_equal(value, expected), f.name
+        elif isinstance(value, CostCounters):
+            assert value.as_dict() == expected.as_dict(), f.name
+        else:
+            assert value == expected, f.name

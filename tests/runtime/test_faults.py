@@ -295,3 +295,122 @@ class TestNegotiation:
         session.submit(queries())
         result = session.collect()
         assert result.checkpoints_taken == WALK_LENGTH // 5
+
+
+class TestStandaloneSessionMatchesEngine:
+    """Degraded-mode accounting is placement-ledger work, shared by both paths.
+
+    A standalone session must report the simulated clock ``engine.run``
+    reports under faults: the interconnect-drop resend, the sharded shard
+    takeover after a device loss, and the replicated re-homing of the dead
+    device's walkers.  The engine-side values are pinned so neither side
+    can drift on its own.
+    """
+
+    PARITY_GRAPH = barabasi_albert_graph(200, 3, seed=9)
+    PARITY_GRAPH = PARITY_GRAPH.with_weights(uniform_weights(PARITY_GRAPH, seed=9))
+    FAILURE = FaultPlan(device_failures=(DeviceFailure(superstep=3, device=1),))
+
+    CASES = {
+        "sharded-drop": (
+            {"graph_placement": "sharded",
+             "fault_plan": FaultPlan(interconnect_drops=(InterconnectDrop(step=2),))},
+            54917.0, 15669.0, (),
+            [(39248.0, 199, 20090), (39173.0, 176, 11241),
+             (39144.0, 166, 8433), (37832.5, 151, 6519)],
+        ),
+        "sharded-failure": (
+            {"graph_placement": "sharded", "checkpoint_interval": 2,
+             "fault_plan": FAILURE},
+            58862.24, 27412.239999999998, (1,),
+            [(31450.0, 200, 23466), (15670.0, 117, 4345),
+             (31366.0, 177, 10517), (31355.5, 169, 7955)],
+        ),
+        "hash-failure": (
+            {"partition_policy": "hash", "checkpoint_interval": 2,
+             "fault_plan": FAILURE},
+            28940.179999999997, 27412.239999999998, (1,),
+            [(1481.8200000000002, 67, 13957), (0.0, 0, 4837),
+             (1527.94, 67, 13893), (1514.3, 66, 13596)],
+        ),
+        "balanced-failure": (
+            {"partition_policy": "balanced", "checkpoint_interval": 2,
+             "fault_plan": FAILURE},
+            28956.219999999998, 27412.239999999998, (1,),
+            [(1502.8999999999999, 67, 13877), (0.0, 0, 4867),
+             (1488.2800000000002, 67, 13613), (1543.98, 66, 13926)],
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_session_collect_equals_engine_run(self, case):
+        from repro.service import DeviceFleet
+        from repro.walks.state import make_queries
+
+        overrides, kernel_ns, recovery_ns, degraded, devices = self.CASES[case]
+        config = FlexiWalkerConfig(device=DEVICE, seed=5, num_devices=4, **overrides)
+        batch = make_queries(
+            self.PARITY_GRAPH.num_nodes, walk_length=10, num_queries=200, seed=5
+        )
+        service = WalkService(self.PARITY_GRAPH, fleet=DeviceFleet(DEVICE, 4))
+        session = service.session(DeepWalkSpec(), config)
+        session.submit(batch)
+        collected = session.collect()
+        reference = session.engine.run(batch)
+
+        assert reference.kernel.time_ns == kernel_ns
+        assert reference.recovery_time_ns == recovery_ns
+        assert reference.degraded_devices == degraded
+        assert [
+            (k.time_ns, k.num_queries, sum(k.counters.as_dict().values()))
+            for k in reference.device_kernels
+        ] == devices
+
+        assert collected.kernel.time_ns == reference.kernel.time_ns
+        assert collected.recovery_time_ns == reference.recovery_time_ns
+        assert collected.degraded_devices == reference.degraded_devices
+        assert [
+            (k.time_ns, k.num_queries, k.counters.as_dict())
+            for k in collected.device_kernels
+        ] == [
+            (k.time_ns, k.num_queries, k.counters.as_dict())
+            for k in reference.device_kernels
+        ]
+        assert collected.paths == reference.paths
+        assert np.array_equal(collected.per_query_ns, reference.per_query_ns)
+
+    @pytest.mark.parametrize("placement", ["replicated", "sharded"])
+    def test_multi_wave_failover_keeps_walks(self, placement):
+        """A failure in a later wave re-homes work without touching a walk.
+
+        Every wave runs its own copy of the fault plan, so the second wave
+        fails over while the first wave's walkers are long finished.
+        """
+        from repro.service import DeviceFleet
+        from repro.walks.state import make_queries
+
+        batch = make_queries(
+            self.PARITY_GRAPH.num_nodes, walk_length=10, num_queries=60, seed=5
+        )
+        base = FlexiWalkerConfig(
+            device=DEVICE, seed=5, num_devices=4, graph_placement=placement
+        )
+        service = WalkService(self.PARITY_GRAPH, fleet=DeviceFleet(DEVICE, 4))
+        session = service.session(
+            DeepWalkSpec(),
+            dataclasses.replace(base, fault_plan=self.FAILURE, checkpoint_interval=2),
+        )
+        session.submit(batch[:25])
+        for _ in session.stream():
+            pass
+        session.submit(batch[25:])
+        result = session.collect()
+        reference = service.session(DeepWalkSpec(), base).engine.run(batch)
+
+        assert_bit_identical(result, reference)
+        assert result.degraded_devices == (1,)
+        assert result.recovery_time_ns > 0
+        device_totals = CostCounters()
+        for kernel in result.device_kernels:
+            device_totals.merge(kernel.counters)
+        assert device_totals.as_dict() == result.counters.as_dict()

@@ -20,7 +20,7 @@ from repro.compiler.generator import compile_workload
 from repro.core.config import FlexiWalkerConfig
 from repro.core.flexiwalker import FlexiWalker
 from repro.gpusim.device import A6000
-from repro.gpusim.multigpu import PARTITION_POLICIES, MultiGPUExecutor
+from repro.gpusim.multigpu import PARTITION_POLICIES
 from repro.graph.generators import barabasi_albert_graph
 from repro.graph.weights import uniform_weights
 from repro.runtime.engine import WalkEngine
@@ -133,22 +133,7 @@ class TestMakespanSemantics:
         assert result.device_times_ns.shape == (1,)
 
 
-class TestMultiGPUExecutorEnginePath:
-    def test_run_drives_real_engine(self):
-        graph = weighted_graph(seed=17)
-        spec = Node2VecSpec()
-        queries = make_queries(graph.num_nodes, walk_length=5, seed=0)
-        engine = make_engine(graph, spec, 1, "hash")
-        single = engine.run(queries)
-        result = MultiGPUExecutor(DEVICE, 4).run(engine, queries, policy="hash")
-        assert result.run is not None
-        assert result.run.paths == single.paths
-        assert len(result.per_gpu) == 4
-        assert result.time_ns == max(k.time_ns for k in result.per_gpu)
-        assert result.speedup_over(single.kernel.time_ns) >= 1.0
-        # The source engine itself is left untouched.
-        assert engine.num_devices == 1
-
+class TestWithDevices:
     def test_with_devices_rejects_bad_arguments(self):
         from repro.errors import SimulationError
 
