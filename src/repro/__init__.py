@@ -20,9 +20,8 @@ Quick start (serving API)::
     result = session.collect()    # exact aggregate
     print(result.time_ms, result.selection_ratio())
 
-The legacy one-shot facade (``FlexiWalker(graph, spec).run(...)``) still
-works and produces bit-identical results, but emits ``DeprecationWarning`` —
-see ``MIGRATION.md``.
+Version 3.0.0 removed the one-shot ``FlexiWalker`` facade and
+``summarize_run``; ``MIGRATION.md`` maps them to the serving API.
 """
 
 from repro.analysis import Diagnostic, Severity, SourceSpan, SpecReport, verify_spec
@@ -33,8 +32,6 @@ from repro.compiler.analyzer import AnalysisResult, EdgeIndexedVariable
 from repro.compiler.generator import CompiledWorkload, GeneratedHelpers
 from repro.compiler.preprocess import PreprocessResult
 from repro.core.config import FlexiWalkerConfig
-from repro.core.flexiwalker import FlexiWalker
-from repro.core.results import summarize_run
 from repro.graph.csr import CSRGraph
 from repro.graph.delta import DeltaCSRGraph, GraphDelta
 from repro.graph.invalidation import DeltaInvalidation, graph_version
@@ -86,7 +83,7 @@ from repro.walks.second_order_pr import SecondOrderPRSpec
 from repro.walks.spec import UniformWalkSpec, WalkSpec
 from repro.walks.state import WalkerState, WalkQuery, make_queries
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     # Serving API (the supported entry point)
@@ -112,9 +109,6 @@ __all__ = [
     "InterconnectDrop",
     "FaultError",
     "DEFAULT_CHECKPOINT_INTERVAL",
-    # Legacy facade (deprecated spellings, kept for compatibility)
-    "FlexiWalker",
-    "summarize_run",
     # Configuration and results
     "FlexiWalkerConfig",
     "WalkEngine",

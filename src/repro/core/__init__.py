@@ -1,18 +1,12 @@
-"""FlexiWalker public API.
+"""FlexiWalker configuration.
 
-:class:`~repro.core.flexiwalker.FlexiWalker` is the facade a downstream user
-interacts with: give it a graph and a walk specification (the three-function
-gather-move-update logic), and it compiles the workload, profiles the device,
-wires the runtime selector to the optimised kernels and runs walk queries —
-the complete pipeline of Fig. 6.
+:class:`~repro.core.config.FlexiWalkerConfig` holds the knobs of the
+pipeline of Fig. 6 (compile → profile → select → walk); the pipeline itself
+runs behind :class:`~repro.service.WalkService` sessions.
 """
 
 from repro.core.config import FlexiWalkerConfig
-from repro.core.flexiwalker import FlexiWalker
-from repro.core.results import summarize_run
 
 __all__ = [
-    "FlexiWalker",
     "FlexiWalkerConfig",
-    "summarize_run",
 ]

@@ -1,4 +1,4 @@
-"""Configuration of the FlexiWalker facade."""
+"""Configuration of the FlexiWalker pipeline (one session's knobs)."""
 
 from __future__ import annotations
 

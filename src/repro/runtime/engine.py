@@ -225,9 +225,7 @@ class WalkRunResult:
 
         Returns a plain dictionary (easy to print, compare or serialise) with
         the simulated execution time, the profiling/preprocessing overhead,
-        walk statistics and the kernel-selection ratio.  The module-level
-        :func:`repro.core.results.summarize_run` is a deprecated wrapper over
-        this method.
+        walk statistics and the kernel-selection ratio.
         """
         lengths = np.array([len(path) - 1 for path in self.paths], dtype=np.int64)
         return {

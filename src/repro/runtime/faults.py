@@ -19,14 +19,17 @@ combine to make failure handling *exactly* reproducible:
   :meth:`~repro.gpusim.device.DeviceSpec.checkpoint_time_ns`.
 * **Replay is bit-identical, so recovery is silent** — re-executing a
   superstep consumes exactly the same RNG counters and lands exactly the
-  same counts in the same slots as the first execution.  After a permanent
-  device failure the run restores the last checkpoint and *replays* the lost
-  supersteps without re-applying their side effects (folds, stream chunks —
-  those from the first execution are still valid because the replay
-  regenerates identical values); only the replayed supersteps' simulated
-  time lands in the recovery ledger.  Recovered runs therefore produce
-  bit-identical paths, counters and per-query base times to a fault-free
-  run — only simulated time differs, surfaced as
+  same counts in the same slots as the first execution.  One recovery step,
+  :meth:`FaultRuntime.recover_superstep`, runs after every newly executed
+  superstep of both drivers (a :class:`~repro.runtime.frontier.Wave` and a
+  scheduler fusion group).  After a permanent device failure it restores
+  the last checkpoint and replays the lost supersteps right away, before
+  the driver sees the next superstep; the replays re-apply none of the
+  first execution's side effects (folds, stream chunks — those remain
+  valid because the replay regenerates identical values), and only their
+  simulated time lands in the recovery ledger.  Recovered runs therefore
+  produce bit-identical paths, counters and per-query base times to a
+  fault-free run — only simulated time differs, surfaced as
   ``result.recovery_time_ns`` / ``result.degraded_devices`` /
   ``result.checkpoints_taken``.
 
@@ -52,7 +55,9 @@ Recovery policies:
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -251,14 +256,37 @@ def restore_checkpoint(
     usage.update(cp.usage)
 
 
+class RecoveryCharge(NamedTuple):
+    """What one recovery step added to the recovery ledger.
+
+    ``ns`` lists the step's individual time charges in the order the
+    runtime added them, so a ledger that adds them one by one reproduces
+    the runtime's own ``recovery_ns`` bit for bit.  ``degraded`` holds the
+    devices newly lost during the step.
+    """
+
+    ns: tuple[float, ...]
+    checkpoints: int
+    degraded: tuple[int, ...]
+
+
 class FaultRuntime:
-    """Mutable per-run fault state: pending events, recovery ledger, tally.
+    """Mutable per-run fault state: pending events, restore point, ledger.
 
     One instance accompanies one run (or one scheduler fusion group).  The
-    drivers consult it at every superstep boundary; all recovery time —
-    checkpoint copy-outs, retries, backoff, replayed supersteps, resent
-    migration batches — accumulates in ``recovery_ns``, kept strictly apart
-    from the placement-invariant per-query base times.
+    driver calls :meth:`recover_superstep` after every newly executed
+    superstep; all recovery time — checkpoint copy-outs, retries, backoff,
+    replayed supersteps, resent migration batches — accumulates in
+    ``recovery_ns``, kept strictly apart from the placement-invariant
+    per-query base times.
+
+    ``ordinal`` is the run's superstep clock (the fault plan's time axis)
+    and ``checkpoint`` its restore point.  A driver that changes the run's
+    state between supersteps (scheduler admission or cancellation) sets
+    ``checkpoint = None``; :meth:`restore_point` then takes a cost-free
+    snapshot at the next superstep boundary.  ``state`` is always the
+    ``(frontier, pool, per_query_ns, aggregate, usage)`` tuple a checkpoint
+    covers — the trailing arguments of :func:`take_checkpoint`.
     """
 
     __slots__ = (
@@ -269,6 +297,9 @@ class FaultRuntime:
         "recovery_ns",
         "checkpoints_taken",
         "degraded",
+        "checkpoint",
+        "ordinal",
+        "_charges",
         "_rng",
         "_failures",
         "_transients",
@@ -291,6 +322,9 @@ class FaultRuntime:
         self.recovery_ns = 0.0
         self.checkpoints_taken = 0
         self.degraded: list[int] = []
+        self.checkpoint: RunCheckpoint | None = None
+        self.ordinal = 0
+        self._charges: list[float] = []
         self._rng = np.random.default_rng(plan.seed) if plan is not None else None
         self._failures: dict[int, list[int]] = {}
         self._transients: dict[int, int] = {}
@@ -304,13 +338,12 @@ class FaultRuntime:
                 )
             self._drops = {drop.step for drop in plan.interconnect_drops}
 
-    @property
-    def active(self) -> bool:
-        """Whether the run needs the resilient superstep path at all."""
-        return self.interval > 0 or (self.plan is not None and not self.plan.empty)
-
     def survivors(self) -> list[int]:
         return [d for d in range(self.num_devices) if d not in self.degraded]
+
+    def _charge(self, ns: float) -> None:
+        self.recovery_ns += ns
+        self._charges.append(ns)
 
     # -- checkpointing -------------------------------------------------- #
     def checkpoint_due(self, ordinal: int) -> bool:
@@ -318,7 +351,7 @@ class FaultRuntime:
         return self.interval > 0 and (ordinal + 1) % self.interval == 0
 
     def charge_checkpoint(self, payload_bytes: int) -> None:
-        self.recovery_ns += self.device.checkpoint_time_ns(payload_bytes)
+        self._charge(self.device.checkpoint_time_ns(payload_bytes))
         self.checkpoints_taken += 1
 
     # -- transient faults ----------------------------------------------- #
@@ -345,7 +378,7 @@ class FaultRuntime:
                 min(RETRY_BACKOFF_BASE_NS * 2.0**i, RETRY_BACKOFF_CAP_NS)
                 for i in range(retries)
             )
-            self.recovery_ns += retries * superstep_ns + backoff
+            self._charge(retries * superstep_ns + backoff)
 
     # -- permanent failures --------------------------------------------- #
     def fail_devices(self, ordinal: int) -> list[int]:
@@ -368,8 +401,8 @@ class FaultRuntime:
 
     def charge_failure(self, dead: list[int], cp: RunCheckpoint) -> None:
         """Detection latency plus the checkpoint read-back, per failure."""
-        self.recovery_ns += FAILURE_DETECTION_NS * len(dead)
-        self.recovery_ns += self.device.checkpoint_time_ns(cp.payload_bytes)
+        self._charge(FAILURE_DETECTION_NS * len(dead))
+        self._charge(self.device.checkpoint_time_ns(cp.payload_bytes))
 
     # -- interconnect drops --------------------------------------------- #
     def charge_interconnect_drop(
@@ -391,88 +424,69 @@ class FaultRuntime:
         if src.size == 0:
             return
         batches = np.unique(src * self.num_devices + dst).size
-        self.recovery_ns += batches * self.device.interconnect_latency_ns
-        self.recovery_ns += (
-            src.size * payload_bytes / self.device.interconnect_bytes_per_ns
-        )
+        self._charge(batches * self.device.interconnect_latency_ns)
+        self._charge(src.size * payload_bytes / self.device.interconnect_bytes_per_ns)
 
+    # -- the recovery step ---------------------------------------------- #
+    def restore_point(self, state: tuple) -> None:
+        """Snapshot ``state`` as the restore point unless one is current.
 
-def resilient_supersteps(
-    engine,
-    faults: FaultRuntime,
-    frontier: WalkerFrontier,
-    pool,
-    streams,
-    per_query_ns: np.ndarray,
-    aggregate: CostCounters,
-    usage: dict[str, int],
-    track_finished: bool = False,
-    on_failure=None,
-):
-    """The fault-tolerant superstep loop: yields ``(ordinal, report, replayed)``.
+        Called at a superstep boundary, before the superstep runs.  The
+        snapshot is cost-free — the analogue of the implicit initial
+        checkpoint — so recovery never depends on ``interval`` being set.
+        """
+        if self.checkpoint is None:
+            self.checkpoint = take_checkpoint(self.ordinal - 1, *state)
 
-    Wraps :func:`~repro.runtime.frontier.iter_supersteps` with the full
-    recovery protocol: explicit checkpoints every ``faults.interval``
-    supersteps (plus the implicit cost-free checkpoint of the initial
-    state), transient-fault retries, and restore-and-replay after permanent
-    device failures.  ``on_failure(dead_devices)`` runs once per failure
-    event, *before* the restore, so drivers re-partition ownership against
-    the state the surviving bookkeeping already reflects.
+    def _checkpoint_if_due(self, ordinal: int, state: tuple) -> None:
+        if self.checkpoint_due(ordinal):
+            self.checkpoint = take_checkpoint(ordinal, *state)
+            self.charge_checkpoint(self.checkpoint.payload_bytes)
 
-    Replayed supersteps are yielded with ``replayed=True``: their results
-    are bit-identical to the first execution (same RNG counters, same
-    slots), so consumers must skip their side effects — the fold/observe
-    effects applied during the first execution remain valid — and only the
-    replayed makespans are charged to the recovery ledger.
-    """
-    from repro.runtime.frontier import iter_supersteps
+    def recover_superstep(
+        self,
+        report,
+        state: tuple,
+        regenerate: Callable[[], Iterator],
+        on_failure: Callable[[list[int]], None] | None = None,
+    ) -> RecoveryCharge:
+        """The recovery step, run after every newly executed superstep.
 
-    def fresh_gen():
-        return iter_supersteps(
-            engine,
-            frontier,
-            streams,
-            per_query_ns,
-            aggregate,
-            usage,
-            track_finished=track_finished,
-        )
-
-    checkpoint = take_checkpoint(-1, frontier, pool, per_query_ns, aggregate, usage)
-    gen = fresh_gen()
-    ordinal = 0
-    replay_until = -1
-    while True:
-        try:
-            report = next(gen)
-        except StopIteration:
-            return
-        superstep_ns = float(report.step_ns.max()) if report.step_ns.size else 0.0
-        replayed = ordinal <= replay_until
-        if replayed:
-            faults.recovery_ns += superstep_ns
-            yield ordinal, report, True
+        Charges the superstep's transient faults, then fails its devices:
+        ``on_failure(dead)`` runs first (drivers re-partition ownership
+        against the bookkeeping the superstep left), then the restore
+        point is restored into ``state`` and the lost supersteps are
+        replayed right away through ``regenerate()`` — which must install
+        a fresh superstep generator over the restored state as the
+        driver's own and return it.  Replays are bit-identical to the
+        first execution, so the driver's folds stay valid and only the
+        replayed makespans are charged.  Finally any due checkpoint is
+        taken.  Returns what the step charged.
+        """
+        ordinal = self.ordinal
+        taken = self.checkpoints_taken
+        self.charge_transients(ordinal, _makespan(report))
+        dead = self.fail_devices(ordinal)
+        if dead:
+            if on_failure is not None:
+                on_failure(dead)
+            checkpoint = self.checkpoint
+            self.charge_failure(dead, checkpoint)
+            restore_checkpoint(checkpoint, *state)
+            supersteps = regenerate()
+            for replayed in range(checkpoint.ordinal + 1, ordinal + 1):
+                self._charge(_makespan(next(supersteps)))
+                self._checkpoint_if_due(replayed, state)
         else:
-            yield ordinal, report, False
-            faults.charge_transients(ordinal, superstep_ns)
-            dead = faults.fail_devices(ordinal)
-            if dead:
-                if on_failure is not None:
-                    on_failure(dead)
-                faults.charge_failure(dead, checkpoint)
-                restore_checkpoint(
-                    checkpoint, frontier, pool, per_query_ns, aggregate, usage
-                )
-                gen = fresh_gen()
-                replay_until = ordinal
-                ordinal = checkpoint.ordinal + 1
-                continue
-        if faults.checkpoint_due(ordinal):
-            checkpoint = take_checkpoint(
-                ordinal, frontier, pool, per_query_ns, aggregate, usage
-            )
-            faults.charge_checkpoint(checkpoint.payload_bytes)
-        ordinal += 1
+            self._checkpoint_if_due(ordinal, state)
+        self.ordinal = ordinal + 1
+        charges, self._charges = tuple(self._charges), []
+        return RecoveryCharge(charges, self.checkpoints_taken - taken, tuple(dead))
+
+
+def _makespan(report) -> float:
+    """Simulated time of one superstep: its slowest walker's step."""
+    return float(report.step_ns.max()) if report.step_ns.size else 0.0
 
 
 def reassign_owners(

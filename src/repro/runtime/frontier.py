@@ -24,8 +24,8 @@ The one documented exception is :class:`~repro.runtime.selector.RandomSelector`,
 whose shared-generator coin flips cannot be replayed step-synchronously.
 
 Execution and placement are separate.  A :class:`Wave` executes one batch of
-queries — superstep by superstep through :func:`iter_supersteps` (wrapped in
-the fault-recovery protocol when the engine asks for it), or walk by walk
+queries — superstep by superstep through :func:`iter_supersteps` (followed
+by the fault-recovery step when the engine asks for it), or walk by walk
 through the scalar interpreter — and a :class:`PlacementLedger` decides
 where that work lands: one device, D replicated devices (queries owned by
 their partition's device) or D graph shards (steps owned by the shard
@@ -50,7 +50,7 @@ import numpy as np
 from repro.gpusim.counters import CostCounters, CounterBatch
 from repro.gpusim.executor import KernelExecutor, KernelResult
 from repro.rng.streams import StreamPool
-from repro.runtime.faults import reassign_owners, resilient_supersteps
+from repro.runtime.faults import RecoveryCharge, reassign_owners
 from repro.sampling.batch import BatchStepContext, BufferArena
 from repro.walks.state import WalkerFrontier, WalkQuery
 
@@ -853,12 +853,14 @@ class Wave:
     The one execution driver: :meth:`WalkEngine.run` drains a single wave,
     a standalone :class:`~repro.service.WalkSession` streams one wave per
     batch of queued submissions.  Batched engines advance the wave one
-    superstep at a time through ``supersteps`` (:func:`iter_supersteps`, or
-    :func:`~repro.runtime.faults.resilient_supersteps` when the engine has a
-    fault plan or checkpointing); scalar engines interpret one whole walk
-    per :meth:`advance` through :meth:`WalkEngine._scalar_walk`.  Every
-    per-device consequence — fetch attribution, hosting, failover, pricing
-    — is the :class:`PlacementLedger`'s job; the wave only executes.
+    superstep at a time through ``supersteps`` (:func:`iter_supersteps`);
+    when the engine has a fault plan or checkpointing, every superstep is
+    followed by :meth:`~repro.runtime.faults.FaultRuntime.recover_superstep`,
+    which replays any lost supersteps before :meth:`advance` returns.
+    Scalar engines interpret one whole walk per :meth:`advance` through
+    :meth:`WalkEngine._scalar_walk`.  Every per-device consequence — fetch
+    attribution, hosting, failover, pricing — is the
+    :class:`PlacementLedger`'s job; the wave only executes.
 
     ``track_finished=False`` skips per-walk completion bookkeeping (every
     step then reports no finished walk) for callers that only want the
@@ -890,17 +892,19 @@ class Wave:
             return
         self.frontier = WalkerFrontier(queries)
         streams = pool.batch([q.query_id for q in queries])
-        if self.faults is None:
+
+        def regenerate():
             self._reports = supersteps(
                 engine, self.frontier, streams, self.per_ns,
                 ledger.aggregate, ledger.usage, track_finished=track_finished,
             )
-        else:
-            self._reports = resilient_supersteps(
-                engine, self.faults, self.frontier, pool, streams, self.per_ns,
-                ledger.aggregate, ledger.usage, track_finished=track_finished,
-                on_failure=lambda dead: ledger.failover(self, dead),
-            )
+            return self._reports
+
+        regenerate()
+        if self.faults is not None:
+            state = (self.frontier, pool, self.per_ns, ledger.aggregate, ledger.usage)
+            self.faults.restore_point(state)
+            self._recovery = (state, regenerate)
 
     @property
     def in_flight(self) -> int:
@@ -917,25 +921,25 @@ class Wave:
     def advance(self) -> WaveStep | None:
         """Execute one superstep (batched) or one walk (scalar).
 
-        Returns ``None`` when the call executed nothing new: a superstep
-        replayed after a device failure (its first execution was already
-        accounted), or the wave just completed — ``done`` is then set and
-        the wave's accounting has been handed to the ledger.
+        Returns ``None`` when the wave just completed — ``done`` is then set
+        and the wave's accounting has been handed to the ledger.
         """
         if self.frontier is None:
             return self._advance_scalar()
-        item = next(self._reports, None)
-        if item is None:
+        report = next(self._reports, None)
+        if report is None:
             self._finish()
             return None
-        if self.faults is None:
-            report = item
-        else:
-            _, report, replayed = item
-            if replayed:
-                return None
-        self.ledger.observe(self, report)
+        ledger = self.ledger
+        ledger.observe(self, report)
         self.ordinal += 1
+        if self.faults is not None:
+            state, regenerate = self._recovery
+            charge = self.faults.recover_superstep(
+                report, state, regenerate,
+                on_failure=lambda dead: ledger.failover(self, dead),
+            )
+            ledger.absorb(charge)
         finished = report.finished
         if finished.size == 0:
             return WaveStep(finished, report.steps, None)
@@ -971,8 +975,6 @@ class Wave:
         if self.frontier is not None and not self.track_finished:
             paths = self.frontier.paths()
         self.ledger.record(self.queries, paths, self.per_ns, self.counts)
-        if self.faults is not None:
-            self.ledger.absorb(self.faults)
         self.done = True
 
 
@@ -998,9 +1000,10 @@ class PlacementLedger:
       interconnect drop must resend.
 
     Waves report to the ledger through :meth:`charge_fetch`,
-    :meth:`observe`, :meth:`failover`, :meth:`record` and :meth:`absorb`;
+    :meth:`observe`, :meth:`failover`, :meth:`absorb` and :meth:`record`;
     the continuous-batching scheduler, which executes attached sessions in
-    its own fused frontier, feeds the same ledger through :meth:`record`.
+    its own fused frontier, feeds the same ledger through :meth:`absorb`
+    and :meth:`record`.
     """
 
     def __init__(self, engine: WalkEngine) -> None:
@@ -1053,7 +1056,7 @@ class PlacementLedger:
         return per_ns, counts
 
     def observe(self, wave: Wave, report: SuperstepReport) -> None:
-        """Fold one executed (not replayed) superstep of ``wave``."""
+        """Fold one executed superstep of ``wave`` (replays are never observed)."""
         self.total_steps += report.steps
         if self.sharded is not None:
             self.sharded.observe(report, wave.frontier, wave.ordinal, offset=wave.offset)
@@ -1095,11 +1098,12 @@ class PlacementLedger:
         if counts is not None:
             self._counts.append(counts)
 
-    def absorb(self, faults) -> None:
-        """Fold a finished wave's recovery ledger."""
-        self.recovery_ns += faults.recovery_ns
-        self.checkpoints_taken += faults.checkpoints_taken
-        self.degraded.extend(d for d in faults.degraded if d not in self.degraded)
+    def absorb(self, charge: RecoveryCharge) -> None:
+        """Fold what one recovery step charged into the recovery ledger."""
+        for ns in charge.ns:
+            self.recovery_ns += ns
+        self.checkpoints_taken += charge.checkpoints
+        self.degraded.extend(d for d in charge.degraded if d not in self.degraded)
 
     # -- the result ------------------------------------------------------ #
     def _replicated_devices(self, per_query_ns: np.ndarray) -> list[KernelResult]:

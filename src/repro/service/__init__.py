@@ -1,8 +1,7 @@
 """Session-based service API: compile → plan → execute, decoupled.
 
-The serving surface of the reproduction.  Where the legacy
-:class:`~repro.core.flexiwalker.FlexiWalker` facade re-resolves everything on
-every one-shot ``run()``, this package keeps a workload *hot*:
+The serving surface of the reproduction — the one way to run walks.  It
+keeps a workload *hot* across requests:
 
 * :class:`WalkService` — owns the shared immutable state (graph, compiled
   workloads, profiles, hint tables, transition caches, device fleet);
@@ -19,9 +18,9 @@ every one-shot ``run()``, this package keeps a workload *hot*:
   (:class:`~repro.errors.QueueFull`), configured per submission through the
   frozen :class:`SubmitOptions`.
 
-``FlexiWalker.run`` is now a thin deprecated shim over a single-session
-service; the parity suite keeps the two bit-identical — as does each
-scheduler-attached session's ``collect()``.
+Every session's ``collect()`` — standalone or scheduler-attached — is
+bit-identical to ``WalkEngine.run`` over the same queries; the parity
+suites enforce it.
 """
 
 from repro.service.plan import (

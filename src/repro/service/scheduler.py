@@ -37,6 +37,16 @@ keeps its documented exemption from bit-exactness: its selector flips coins
 from a shared sequential generator, so fused execution interleaves the
 draws.
 
+Fault plans and checkpointing recover through the same step a standalone
+wave uses, :meth:`~repro.runtime.faults.FaultRuntime.recover_superstep`,
+run once per fused superstep on the group's
+:class:`~repro.runtime.faults.FaultRuntime`.  Admission and cancellation
+only drop the group's restore point; the next superstep boundary takes a
+cost-free snapshot.  Each step's recovery charge lands in the ledger of
+every session that had walkers in flight when the superstep began, so an
+attached session reports the recovery time, checkpoints and lost devices
+its walkers went through.
+
 Like the frontier it wraps, the scheduler trades memory for simplicity: a
 fusion group's arrays grow monotonically with every admitted walker and are
 never compacted, so a scheduler is sized for a workload burst, not an
@@ -57,7 +67,6 @@ import numpy as np
 
 from repro.errors import QueueFull, ServiceError
 from repro.gpusim.counters import CostCounters, CounterBatch
-from repro.runtime.faults import restore_checkpoint, take_checkpoint
 from repro.runtime.frontier import (
     FrontierRun,
     fold_counters_by_owner,
@@ -173,8 +182,7 @@ class _Group:
     """One fusion group: sessions compatible enough to share a frontier."""
 
     __slots__ = ("key", "engine", "seed", "run", "gen", "sessions", "owner",
-                 "tenants", "aggregate", "usage", "counts", "faults",
-                 "checkpoint", "ordinal")
+                 "tenants", "aggregate", "usage", "counts", "faults")
 
     def __init__(self, key, engine, track_counts: bool) -> None:
         self.key = key
@@ -182,12 +190,9 @@ class _Group:
         self.seed = engine.seed
         self.run = FrontierRun(engine)
         self.gen = None
-        # Fault-tolerance state: the engine's FaultRuntime (None on the
-        # fault-free fast path), the last restore point, and the group's
-        # logical superstep ordinal (the fault plan's clock).
+        # The engine's FaultRuntime (None on the fault-free fast path): the
+        # group's superstep clock, restore point and recovery ledger.
         self.faults = engine._fault_runtime()
-        self.checkpoint = None
-        self.ordinal = 0
         self.sessions: list[_SessionEntry] = []
         self.owner = np.zeros(0, dtype=np.int64)     # fused pos -> gidx
         self.tenants: list[_TenantState] = []        # fused pos -> tenant
@@ -652,7 +657,7 @@ class ServiceScheduler:
         # terminated walker; rebase the group's restore point on the
         # post-cancellation state instead.
         if entry.group.faults is not None:
-            entry.group.checkpoint = None
+            entry.group.faults.checkpoint = None
         tenant = entry.group.tenants[pos]
         tenant.outstanding -= 1
         tenant.dead_letters += 1
@@ -982,7 +987,7 @@ class ServiceScheduler:
         # longer matches its state; a fresh (cost-free) boundary snapshot
         # is taken before the next superstep runs.
         if group.faults is not None:
-            group.checkpoint = None
+            group.faults.checkpoint = None
 
     # ------------------------------------------------------------------ #
     # Superstep execution and exact per-session attribution
@@ -994,15 +999,14 @@ class ServiceScheduler:
         if group.gen is None:
             if run.frontier.active_indices().size == 0:
                 return 0
-            group.gen = self._group_gen(group)
+            self._group_gen(group)
         faults = group.faults
-        if faults is not None and group.checkpoint is None:
-            # Admission boundary (or group birth): a cost-free snapshot,
-            # the fused analogue of the implicit initial checkpoint.
-            group.checkpoint = take_checkpoint(
-                group.ordinal - 1, run.frontier, run.pool, run.per_query_ns,
-                group.aggregate, group.usage,
-            )
+        if faults is not None:
+            state = (run.frontier, run.pool, run.per_query_ns, group.aggregate, group.usage)
+            faults.restore_point(state)
+            # Sessions whose walkers the superstep (and so its recovery)
+            # covers: their ledgers share the step's recovery charge.
+            charged = [entry for entry in group.sessions if entry.inflight]
         try:
             report = next(group.gen)
         except StopIteration:
@@ -1010,13 +1014,19 @@ class ServiceScheduler:
             return 0
         self._fold(group, report, participants)
         if faults is not None:
-            self._recover_group(group, report)
-        group.ordinal += 1
+            # Replaying within this tick matters: admissions land only at
+            # tick boundaries, so no walker can join mid-replay.
+            charge = faults.recover_superstep(
+                report, state, lambda: self._group_gen(group)
+            )
+            for entry in charged:
+                entry.session._ledger.absorb(charge)
         return report.steps
 
     def _group_gen(self, group: _Group):
+        """(Re)create the group's superstep generator over its fused run."""
         run = group.run
-        return iter_supersteps(
+        group.gen = iter_supersteps(
             group.engine,
             run.frontier,
             run.streams,
@@ -1026,51 +1036,7 @@ class ServiceScheduler:
             track_finished=True,
             run=run,
         )
-
-    def _recover_group(self, group: _Group, report) -> None:
-        """Apply the fault plan at one fused superstep boundary.
-
-        The scheduler-fused counterpart of
-        :func:`~repro.runtime.faults.resilient_supersteps`: transient
-        faults are a pure (deterministic) time penalty; a permanent
-        device failure restores the group's checkpoint and silently
-        replays the lost supersteps *within this tick* — admissions only
-        land at tick boundaries, so replaying across ticks would let new
-        walkers join mid-replay and change the replayed supersteps.
-        Replayed supersteps regenerate bit-identical state, so the folds
-        already applied stay valid and only the replayed makespans are
-        charged to the recovery ledger.
-        """
-        run = group.run
-        faults = group.faults
-        ordinal = group.ordinal
-        superstep_ns = float(report.step_ns.max()) if report.step_ns.size else 0.0
-        faults.charge_transients(ordinal, superstep_ns)
-        dead = faults.fail_devices(ordinal)
-        if dead:
-            faults.charge_failure(dead, group.checkpoint)
-            restore_checkpoint(
-                group.checkpoint, run.frontier, run.pool, run.per_query_ns,
-                group.aggregate, group.usage,
-            )
-            group.gen = self._group_gen(group)
-            for replay_ordinal in range(group.checkpoint.ordinal + 1, ordinal + 1):
-                replay = next(group.gen)
-                faults.recovery_ns += (
-                    float(replay.step_ns.max()) if replay.step_ns.size else 0.0
-                )
-                if faults.checkpoint_due(replay_ordinal):
-                    group.checkpoint = take_checkpoint(
-                        replay_ordinal, run.frontier, run.pool, run.per_query_ns,
-                        group.aggregate, group.usage,
-                    )
-                    faults.charge_checkpoint(group.checkpoint.payload_bytes)
-        elif faults.checkpoint_due(ordinal):
-            group.checkpoint = take_checkpoint(
-                ordinal, run.frontier, run.pool, run.per_query_ns,
-                group.aggregate, group.usage,
-            )
-            faults.charge_checkpoint(group.checkpoint.payload_bytes)
+        return group.gen
 
     def _fold(
         self,

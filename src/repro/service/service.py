@@ -407,8 +407,6 @@ class WalkService:
         spec: WalkSpec,
         config: FlexiWalkerConfig | None = None,
         backend: str | None = None,
-        selector: SamplerSelector | None = None,
-        engine: WalkEngine | None = None,
     ) -> WalkSession:
         """Open a walk session: compile, negotiate a plan, bind an engine.
 
@@ -425,19 +423,6 @@ class WalkService:
         backend:
             Explicit backend request (see :data:`repro.service.BACKENDS`);
             by default the backend is negotiated from the config.
-        selector:
-            Pre-built runtime selector to reuse instead of constructing one
-            from the config.  Stateful selectors (the ``random`` policy's
-            shared generator) carry their state across the sessions that
-            share them — this is how the legacy facade keeps repeated
-            ``run()`` calls drawing fresh selection coin flips.
-        engine:
-            Pre-built :class:`~repro.runtime.engine.WalkEngine` to execute
-            on instead of constructing one from the plan.  Used by the
-            legacy facade so engine-level knobs its callers mutate in place
-            (``step_overhead``, ``use_transition_cache``, ``scheduling``)
-            keep affecting subsequent runs; the engine must target this
-            service's graph and fleet device.
         """
         if config is None:
             config = FlexiWalkerConfig(device=self.fleet.device)
@@ -469,41 +454,30 @@ class WalkService:
             else config.device.random_to_coalesced_ratio
         )
         cost_model = CostModel(edge_cost_ratio=max(ratio, 1e-6))
-        if engine is not None:
-            if engine.graph is not self.graph:
-                raise ServiceError("a reused engine must target the service's graph")
-            if engine.device != self.fleet.device:
-                raise ServiceError(
-                    f"a reused engine must target the fleet device "
-                    f"{self.fleet.device.name!r}, not {engine.device.name!r}"
-                )
-            selector = engine.selector
-        else:
-            if selector is None:
-                selector = build_selector(config, cost_model, compiled)
-            engine = WalkEngine(
-                graph=self.graph,
-                spec=spec,
-                device=self.fleet.device,
-                selector=selector,
-                compiled=compiled,
-                seed=config.seed,
-                warp_width=config.warp_width,
-                weight_bytes=config.weight_bytes,
-                scheduling=plan.scheduling,
-                selection_overhead=config.selection_overhead and config.selection == "cost_model",
-                warp_switch_overhead=config.warp_switch_overhead,
-                execution=plan.execution,
-                num_devices=plan.num_devices,
-                partition_policy=plan.partition_policy,
-                graph_placement=plan.graph_placement,
-                shard_policy=plan.shard_policy or config.shard_policy,
-                ghost_cache_bytes=plan.ghost_cache_bytes,
-                use_transition_cache=plan.use_transition_cache,
-                caches=self.engine_caches(spec),
-                checkpoint_interval=plan.checkpoint_interval,
-                fault_plan=config.fault_plan,
-            )
+        selector = build_selector(config, cost_model, compiled)
+        engine = WalkEngine(
+            graph=self.graph,
+            spec=spec,
+            device=self.fleet.device,
+            selector=selector,
+            compiled=compiled,
+            seed=config.seed,
+            warp_width=config.warp_width,
+            weight_bytes=config.weight_bytes,
+            scheduling=plan.scheduling,
+            selection_overhead=config.selection_overhead and config.selection == "cost_model",
+            warp_switch_overhead=config.warp_switch_overhead,
+            execution=plan.execution,
+            num_devices=plan.num_devices,
+            partition_policy=plan.partition_policy,
+            graph_placement=plan.graph_placement,
+            shard_policy=plan.shard_policy or config.shard_policy,
+            ghost_cache_bytes=plan.ghost_cache_bytes,
+            use_transition_cache=plan.use_transition_cache,
+            caches=self.engine_caches(spec),
+            checkpoint_interval=plan.checkpoint_interval,
+            fault_plan=config.fault_plan,
+        )
         self._sessions_created += 1
         session = WalkSession(
             service=self,

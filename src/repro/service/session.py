@@ -15,8 +15,9 @@ one wave and advances it one superstep (or, for scalar plans, one walk) per
 :meth:`~WalkSession.stream` step — the same wave driver and ledger
 ``WalkEngine.run`` uses, so placement, pricing and fault failover cannot
 differ between the two.  A scheduler-attached session executes in the
-scheduler's fused frontier instead, and the scheduler feeds the session's
-ledger when the session goes idle.
+scheduler's fused frontier instead: the scheduler charges each of the fusion
+group's recovery steps to the session's ledger while the session has
+walkers in flight, and records its finished walks when it goes idle.
 
 **Exactness.**  Every walker owns a counter-based random stream keyed by its
 query id, every walker's operation counts land in its own slot, and
@@ -39,7 +40,6 @@ order, and therefore on wave composition.  Every other selection policy
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from collections.abc import Iterator, Sequence
 from typing import TYPE_CHECKING
@@ -346,18 +346,13 @@ class WalkSession:
     def submit(
         self,
         queries: Sequence[WalkQuery],
-        *legacy_args,
+        *,
         options: SubmitOptions | None = None,
-        **legacy_kwargs,
     ) -> QueryTicket:
         """Enqueue walk queries and return a ticket tracking them.
 
         Scheduling knobs travel in one keyword-only frozen
         :class:`SubmitOptions` — ``submit(queries, options=SubmitOptions(...))``.
-        Plain ``submit(queries)`` is unchanged.  The legacy spellings —
-        options passed positionally, or loose ``priority=``/``tenant=``/
-        ``deadline_steps=``/``block_on_full=`` keywords — keep working but
-        emit :class:`DeprecationWarning`.
 
         On a standalone session queries execute in submission order; on a
         scheduler-attached session they enter the tenant's admission queue
@@ -366,7 +361,12 @@ class WalkSession:
         owns one random stream); duplicates raise
         :class:`~repro.errors.ServiceError`.
         """
-        options = self._resolve_submit_options(legacy_args, options, legacy_kwargs)
+        if options is None:
+            options = _DEFAULT_SUBMIT_OPTIONS
+        elif not isinstance(options, SubmitOptions):
+            raise TypeError(
+                f"options must be a SubmitOptions, not {type(options).__name__}"
+            )
         queries = list(queries)
         if not queries:
             raise ServiceError("no walk queries to submit")
@@ -397,53 +397,6 @@ class WalkSession:
                 self._enqueue_step_by_qid[q.query_id] = enqueue_step
             self._queue.extend(queries)
         return ticket
-
-    @staticmethod
-    def _resolve_submit_options(legacy_args, options, legacy_kwargs) -> SubmitOptions:
-        """Fold the legacy submit spellings into one :class:`SubmitOptions`."""
-        if legacy_args:
-            if len(legacy_args) > 1:
-                raise TypeError(
-                    f"submit() takes one positional argument (queries); "
-                    f"got {1 + len(legacy_args)}"
-                )
-            if options is not None or legacy_kwargs:
-                raise TypeError(
-                    "submit() got options both positionally and by keyword"
-                )
-            warnings.warn(
-                "passing submit options positionally is deprecated; "
-                "use submit(queries, options=SubmitOptions(...))",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            options = legacy_args[0]
-        if legacy_kwargs:
-            unknown = set(legacy_kwargs) - {
-                "priority", "tenant", "deadline_steps", "block_on_full",
-            }
-            if unknown:
-                raise TypeError(
-                    f"submit() got unexpected keyword arguments {sorted(unknown)}"
-                )
-            if options is not None:
-                raise TypeError(
-                    "submit() got both options= and loose scheduling keywords"
-                )
-            warnings.warn(
-                "loose submit scheduling keywords are deprecated; "
-                "use submit(queries, options=SubmitOptions(...))",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            options = SubmitOptions(**legacy_kwargs)
-        if options is None:
-            return _DEFAULT_SUBMIT_OPTIONS
-        if not isinstance(options, SubmitOptions):
-            raise TypeError(
-                f"options must be a SubmitOptions, not {type(options).__name__}"
-            )
-        return options
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -557,8 +510,8 @@ class WalkSession:
         wave first if none is in flight.
 
         Returns the resulting chunk, or ``None`` when the call completed no
-        walk (a superstep without completions, a replayed superstep, a wave
-        that just finished, or an idle session).
+        walk (a superstep without completions, a wave that just finished, or
+        an idle session).
         """
         if self._wave is None:
             if not self._queue.remaining:

@@ -7,10 +7,11 @@ checkpoint cadence, a recovered run must reproduce the fault-free run's
 paths, per-query base times and counter totals bit-identically.  Only the
 simulated clock may differ (the recovery ledger).  Hypothesis generates the
 fault schedules; the invariant is asserted across the batched single-device,
-fused multi-device, sharded and scheduler-fused execution modes.  Two more
-modes hold a standalone session to the engine under the same plans: its
-``collect()`` must equal ``engine.run()`` in every field, simulated clock
-included, for replicated and sharded placement on two devices.
+fused multi-device, sharded and scheduler-fused execution modes.  Three more
+modes hold a session to the engine under the same plans: its ``collect()``
+must equal ``engine.run()`` in every field, simulated clock included — a
+standalone session with replicated or sharded placement on two devices,
+and a scheduler-attached session that submits everything up front.
 
 The example budget is bounded for tier-1 (``CHAOS_MAX_EXAMPLES``, default
 15); the tier-2 nightly re-runs the suite with a larger budget to explore
@@ -183,6 +184,24 @@ class TestChaosRecoveryInvariant:
         session = service.session(DeepWalkSpec(), config)
         session.submit(QUERIES)
         assert_same_result(session.collect(), session.engine.run(QUERIES))
+
+    @settings(max_examples=CHAOS_MAX_EXAMPLES, deadline=None)
+    @given(plan=fault_plans, interval=intervals)
+    def test_attached_session_equals_engine(self, plan, interval):
+        """A scheduler-attached session is charged its fusion group's
+        recovery: with every query submitted before the first tick, its
+        ``collect()`` equals ``engine.run()`` in every field."""
+        config = FlexiWalkerConfig(
+            device=DEVICE, seed=3, fault_plan=plan, checkpoint_interval=interval
+        )
+        scheduler = WalkService(GRAPH, fleet=DeviceFleet(DEVICE)).scheduler()
+        session = scheduler.session(DeepWalkSpec(), config)
+        session.submit(QUERIES)
+        result = session.collect()
+        assert_same_result(result, session.engine.run(QUERIES))
+        assert scheduler.recovery_time_ns == result.recovery_time_ns
+        assert scheduler.checkpoints_taken == result.checkpoints_taken
+        assert scheduler.degraded_devices == result.degraded_devices
 
 
 def assert_same_kernel(kernel, reference) -> None:

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from repro.compiler.generator import compile_workload
 from repro.core.config import FlexiWalkerConfig
-from repro.core.flexiwalker import FlexiWalker
 from repro.graph.generators import barabasi_albert_graph
 from repro.graph.labels import random_edge_labels
 from repro.graph.weights import uniform_weights
@@ -36,6 +35,7 @@ from repro.sampling.ervs import EnhancedReservoirSampler
 from repro.sampling.its import InverseTransformSampler
 from repro.sampling.rejection import RejectionSampler
 from repro.sampling.reservoir import ReservoirSampler
+from repro.service import DeviceFleet, WalkService
 from repro.walks.deepwalk import DeepWalkSpec
 from repro.walks.metapath import MetaPathSpec
 from repro.walks.node2vec import Node2VecSpec, UnweightedNode2VecSpec
@@ -43,6 +43,16 @@ from repro.walks.second_order_pr import SecondOrderPRSpec
 from repro.walks.state import make_queries
 
 DEVICE = dataclasses.replace(A6000, parallel_lanes=8)
+
+
+def collect_session(graph, spec, config, walk_length, num_queries):
+    """Run ``num_queries`` walks through a fresh service session."""
+    service = WalkService(graph, fleet=DeviceFleet(config.device, config.num_devices))
+    session = service.session(spec, config)
+    session.submit(make_queries(
+        graph.num_nodes, walk_length=walk_length, num_queries=num_queries, seed=config.seed
+    ))
+    return session.collect(), session
 
 
 def labeled_graph(num_nodes: int, seed: int):
@@ -192,8 +202,8 @@ class TestHooksAndOverheadParity:
 
 
 class TestFacadeParity:
-    # Exercises the deprecated one-shot facade on purpose (legacy-shim test).
-    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    """Scalar and batched sessions agree for every deterministic policy."""
+
     @pytest.mark.parametrize("selection", ["cost_model", "ervs_only", "erjs_only", "degree"])
     def test_flexiwalker_modes_agree(self, selection):
         graph = labeled_graph(60, seed=21)
@@ -203,14 +213,14 @@ class TestFacadeParity:
                 device=DEVICE, selection=selection, execution=mode,
                 degree_threshold=5, seed=1,
             )
-            walker = FlexiWalker(graph, Node2VecSpec(), config)
-            results.append(walker.run(walk_length=5, num_queries=30))
+            result, _ = collect_session(graph, Node2VecSpec(), config, 5, 30)
+            results.append(result)
         assert_parity(*results)
 
     def test_describe_reports_execution_mode(self):
         graph = labeled_graph(30, seed=22)
-        walker = FlexiWalker(graph, Node2VecSpec(), FlexiWalkerConfig(device=DEVICE))
-        assert walker.describe()["execution"] == "batched"
+        _, session = collect_session(graph, Node2VecSpec(), FlexiWalkerConfig(device=DEVICE), 3, 4)
+        assert session.describe()["plan"]["execution"] == "batched"
 
 
 class TestPropertyBasedParity:

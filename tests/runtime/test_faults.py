@@ -414,3 +414,43 @@ class TestStandaloneSessionMatchesEngine:
         for kernel in result.device_kernels:
             device_totals.merge(kernel.counters)
         assert device_totals.as_dict() == result.counters.as_dict()
+
+
+class TestStreamingUnderFaults:
+    """Recovery replays never surface as chunks.
+
+    A device failure restores a checkpoint and replays the lost supersteps
+    before the session sees the next superstep, so ``stream()`` emits the
+    fault-free chunk sequence: same walks, superstep ordinals, step counts
+    and pending counts.
+    """
+
+    @staticmethod
+    def _stream(config):
+        from repro.service import DeviceFleet
+
+        service = WalkService(GRAPH, fleet=DeviceFleet(DEVICE))
+        session = service.session(DeepWalkSpec(), config)
+        # Staggered lengths, so walks complete over several supersteps.
+        session.submit([
+            WalkQuery(query_id=i, start_node=i, max_length=2 + i % 8)
+            for i in range(12)
+        ])
+        chunks = [
+            (chunk.query_ids, chunk.superstep, chunk.steps, chunk.pending)
+            for chunk in session.stream()
+        ]
+        return chunks, session.collect()
+
+    def test_failure_keeps_the_chunk_sequence(self):
+        base = FlexiWalkerConfig(device=DEVICE, seed=3)
+        faulty = dataclasses.replace(
+            base,
+            fault_plan=FaultPlan(device_failures=(DeviceFailure(superstep=5),)),
+            checkpoint_interval=2,
+        )
+        chunks, _ = self._stream(base)
+        faulty_chunks, recovered = self._stream(faulty)
+        assert recovered.degraded_devices == (0,)
+        assert len(chunks) > 1
+        assert faulty_chunks == chunks

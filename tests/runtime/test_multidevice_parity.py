@@ -18,19 +18,29 @@ import pytest
 
 from repro.compiler.generator import compile_workload
 from repro.core.config import FlexiWalkerConfig
-from repro.core.flexiwalker import FlexiWalker
 from repro.gpusim.device import A6000
 from repro.gpusim.multigpu import PARTITION_POLICIES
 from repro.graph.generators import barabasi_albert_graph
 from repro.graph.weights import uniform_weights
 from repro.runtime.engine import WalkEngine
 from repro.runtime.selector import CostModelSelector
+from repro.service import DeviceFleet, WalkService
 from repro.walks.deepwalk import DeepWalkSpec
 from repro.walks.node2vec import Node2VecSpec
 from repro.walks.state import make_queries
 
 DEVICE = dataclasses.replace(A6000, parallel_lanes=8)
 DEVICE_COUNTS = (1, 2, 4)
+
+
+def collect_session(graph, spec, config, walk_length, num_queries):
+    """Run ``num_queries`` walks through a fresh service session."""
+    service = WalkService(graph, fleet=DeviceFleet(config.device, config.num_devices))
+    session = service.session(spec, config)
+    session.submit(make_queries(
+        graph.num_nodes, walk_length=walk_length, num_queries=num_queries, seed=config.seed
+    ))
+    return session.collect(), session
 
 
 def weighted_graph(num_nodes: int = 60, seed: int = 3):
@@ -146,8 +156,8 @@ class TestWithDevices:
 
 
 class TestFacadeMultiDevice:
-    # Exercises the deprecated one-shot facade on purpose (legacy-shim test).
-    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    """Sessions on 1, 2 and 4 replicated devices produce the same walks."""
+
     @pytest.mark.parametrize("policy", PARTITION_POLICIES)
     def test_flexiwalker_parity_across_device_counts(self, policy):
         graph = weighted_graph(seed=23)
@@ -156,15 +166,15 @@ class TestFacadeMultiDevice:
             config = FlexiWalkerConfig(
                 device=DEVICE, num_devices=num_devices, partition_policy=policy, seed=2
             )
-            walker = FlexiWalker(graph, Node2VecSpec(), config)
-            results.append(walker.run(walk_length=5, num_queries=30))
+            result, _ = collect_session(graph, Node2VecSpec(), config, 5, 30)
+            results.append(result)
         for result in results[1:]:
             assert_placement_parity(results[0], result)
 
     def test_describe_reports_device_configuration(self):
         graph = weighted_graph(seed=29)
         config = FlexiWalkerConfig(device=DEVICE, num_devices=4, partition_policy="balanced")
-        walker = FlexiWalker(graph, Node2VecSpec(), config)
-        described = walker.describe()
+        _, session = collect_session(graph, Node2VecSpec(), config, 3, 8)
+        described = session.describe()["plan"]
         assert described["num_devices"] == 4
         assert described["partition_policy"] == "balanced"

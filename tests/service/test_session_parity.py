@@ -3,11 +3,10 @@
 The acceptance contract of the service redesign: for every paper workload
 (deepwalk / node2vec / metapath / 2nd-order PageRank) and every backend
 (scalar, batched, fused multi-device), ``WalkSession.collect()`` —
-including after arbitrary submit/stream interleaving — reproduces the legacy
-``WalkEngine.run`` output *bit for bit*: paths, per-kernel usage, counter
-totals, per-query simulated times, kernel makespans, per-device kernels and
-the simulated profiling/preprocessing overheads.  The deprecated
-``FlexiWalker.run`` shim rides the same code path and is checked too.
+including after arbitrary submit/stream interleaving — reproduces the
+one-shot ``WalkEngine.run`` output *bit for bit*: paths, per-kernel usage,
+counter totals, per-query simulated times, kernel makespans, per-device
+kernels and the simulated profiling/preprocessing overheads.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import numpy as np
 import pytest
 
 from repro.core.config import FlexiWalkerConfig
-from repro.core.flexiwalker import FlexiWalker
 from repro.gpusim.device import A6000
 from repro.service import DeviceFleet, WalkService
 from repro.walks.deepwalk import DeepWalkSpec
@@ -49,9 +47,11 @@ def make_config(**overrides) -> FlexiWalkerConfig:
 
 
 def reference_run(graph, spec, config, queries):
-    """The legacy path: a direct engine run (no session machinery involved)."""
-    walker = FlexiWalker(graph, spec, config)
-    return walker.engine.run(queries, profile=walker.profile)
+    """A direct engine run (no session machinery involved), on the engine
+    and profile a separate service session built."""
+    service = WalkService(graph, fleet=DeviceFleet(DEVICE, config.num_devices))
+    session = service.session(spec, config)
+    return session.engine.run(queries, profile=session.profile)
 
 
 def assert_bit_identical(result, reference):
@@ -73,7 +73,6 @@ def assert_bit_identical(result, reference):
     assert result.overhead_ms == reference.overhead_ms
 
 
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
 class TestCollectParity:
     @pytest.mark.parametrize("workload", sorted(SPEC_FACTORIES))
     @pytest.mark.parametrize("mode", sorted(MODES))
@@ -108,12 +107,14 @@ class TestCollectParity:
         assert_bit_identical(session.collect(), reference)
 
     @pytest.mark.parametrize("mode", sorted(MODES))
-    def test_flexiwalker_shim_is_bit_identical(self, service_graph, mode):
+    def test_session_engine_run_is_bit_identical(self, service_graph, mode):
         config = make_config(**MODES[mode])
         queries = make_queries(service_graph.num_nodes, walk_length=6, num_queries=24, seed=3)
-        walker = FlexiWalker(service_graph, Node2VecSpec(), config)
-        reference = walker.engine.run(queries, profile=walker.profile)
-        assert_bit_identical(walker.run_queries(queries), reference)
+        service = WalkService(service_graph, fleet=DeviceFleet(DEVICE, config.num_devices))
+        session = service.session(Node2VecSpec(), config)
+        reference = session.engine.run(queries, profile=session.profile)
+        session.submit(queries)
+        assert_bit_identical(session.collect(), reference)
 
     def test_repeated_collect_covers_later_submissions(self, service_graph):
         config = make_config()

@@ -10,6 +10,7 @@ benchmark suite.
 from __future__ import annotations
 
 import importlib.util
+import warnings
 from pathlib import Path
 
 import pytest
@@ -37,12 +38,9 @@ def test_examples_directory_contains_all_documented_scripts():
     assert expected <= {p.name for p in EXAMPLES_DIR.glob("*.py")}
 
 
-# The quickstart deliberately exercises the deprecated one-shot facade: the
-# acceptance contract is that legacy user code keeps running unchanged, with
-# only a DeprecationWarning.  pytest.warns doubles as the opt-out from the
-# suite-wide error filter, so one run checks both halves of the contract.
-def test_quickstart_example_runs_with_only_a_deprecation_warning(capsys):
-    with pytest.warns(DeprecationWarning):
+def test_quickstart_example_runs_without_warnings(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         load_example("quickstart").main()
     out = capsys.readouterr().out
     assert "simulated kernel time" in out
