@@ -31,6 +31,7 @@ from repro.runtime.faults import (
     FaultPlan,
     FaultRuntime,
     InterconnectDrop,
+    RecoveryCharge,
     TransientFault,
     reassign_owners,
     restore_checkpoint,
@@ -231,6 +232,47 @@ class TestPermanentFailures:
         owner = np.array([0, 0, 0], dtype=np.int64)
         reassign_owners(owner, dead=[0], survivors=[])
         assert owner.tolist() == [0, 0, 0]
+
+
+class TestRecoveryStep:
+    """``FaultRuntime.recover_superstep`` returns exactly what it charged."""
+
+    class _Report:
+        def __init__(self, step_ns):
+            self.step_ns = np.asarray(step_ns, dtype=np.float64)
+
+    @staticmethod
+    def _no_replay():
+        raise AssertionError("a step without a device failure must not replay")
+
+    def test_fault_free_step_charges_nothing(self):
+        faults = FaultRuntime(DEVICE)
+        for ordinal in range(3):
+            charge = faults.recover_superstep(
+                self._Report([5.0, 7.0]), (), self._no_replay
+            )
+            assert charge == RecoveryCharge((), 0, ())
+            assert faults.ordinal == ordinal + 1
+        assert faults.recovery_ns == 0.0
+        assert faults.checkpoints_taken == 0
+        assert faults.degraded == []
+
+    def test_transient_retries_are_returned_in_charge_order(self):
+        plan = FaultPlan(
+            seed=4,
+            transient_faults=(TransientFault(superstep=1), TransientFault(superstep=1)),
+        )
+        faults = FaultRuntime(DEVICE, plan)
+        first = faults.recover_superstep(self._Report([3.0]), (), self._no_replay)
+        second = faults.recover_superstep(self._Report([2.0, 9.0]), (), self._no_replay)
+        third = faults.recover_superstep(self._Report([9.0]), (), self._no_replay)
+        assert first == third == RecoveryCharge((), 0, ())
+        assert len(second.ns) == 2 and all(ns >= 9.0 for ns in second.ns)
+        assert second.checkpoints == 0 and second.degraded == ()
+        ledger = 0.0
+        for ns in second.ns:
+            ledger += ns
+        assert ledger == faults.recovery_ns
 
 
 class TestScalarModeRejected:
@@ -454,3 +496,62 @@ class TestStreamingUnderFaults:
         assert recovered.degraded_devices == (0,)
         assert len(chunks) > 1
         assert faulty_chunks == chunks
+
+    def test_transient_faults_keep_the_chunk_sequence(self):
+        base = FlexiWalkerConfig(device=DEVICE, seed=3)
+        faulty = dataclasses.replace(
+            base,
+            fault_plan=FaultPlan(
+                transient_faults=(TransientFault(superstep=1), TransientFault(superstep=4))
+            ),
+            checkpoint_interval=1,
+        )
+        chunks, _ = self._stream(base)
+        faulty_chunks, recovered = self._stream(faulty)
+        assert recovered.recovery_time_ns > 0
+        assert recovered.degraded_devices == ()
+        assert faulty_chunks == chunks
+
+
+class TestAttachedSessionRecoveryCharge:
+    """A fusion group's recovery is charged to the sessions it covered.
+
+    Every session with walkers in flight when a superstep begins shares
+    that superstep's recovery charge; a session with nothing in flight is
+    not charged.
+    """
+
+    PLAN = FaultPlan(device_failures=(DeviceFailure(superstep=3),))
+
+    def _scheduler_sessions(self):
+        from repro.service import DeviceFleet
+
+        config = FlexiWalkerConfig(
+            device=DEVICE, seed=3, fault_plan=self.PLAN, checkpoint_interval=2
+        )
+        scheduler = WalkService(GRAPH, fleet=DeviceFleet(DEVICE)).scheduler()
+        first = scheduler.session(DeepWalkSpec(), config)
+        second = scheduler.session(DeepWalkSpec(), config)
+        return scheduler, first, second
+
+    def test_every_in_flight_session_is_charged(self):
+        scheduler, first, second = self._scheduler_sessions()
+        first.submit(queries(6))
+        second.submit(queries(6)[::-1])
+        scheduler.run_until_idle(max_ticks=500)
+        for result in (first.collect(), second.collect()):
+            assert result.recovery_time_ns == scheduler.recovery_time_ns > 0
+            assert result.checkpoints_taken == scheduler.checkpoints_taken > 0
+            assert result.degraded_devices == scheduler.degraded_devices == (0,)
+
+    def test_session_without_walkers_in_flight_is_not_charged(self):
+        scheduler, first, second = self._scheduler_sessions()
+        first.submit(queries(6))
+        scheduler.run_until_idle(max_ticks=500)
+        recovery_ns = scheduler.recovery_time_ns
+        second.submit(queries(1, length=2))
+        late = second.collect()
+        assert first.collect().degraded_devices == (0,)
+        assert first.collect().recovery_time_ns == recovery_ns > 0
+        assert late.degraded_devices == ()
+        assert late.recovery_time_ns == scheduler.recovery_time_ns - recovery_ns

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import warnings
 
 import pytest
 
@@ -43,6 +44,25 @@ class TestSubmitOptions:
             session.submit(queries, priority=1)
         with pytest.raises(TypeError, match="SubmitOptions"):
             session.submit(queries, options={"priority": 1})
+        assert session.pending == 0
+
+    def test_options_keyword_raises_no_warning(self, service_graph):
+        session = self._session(service_graph)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            session.submit(
+                self._queries(service_graph), options=SubmitOptions(priority=1)
+            )
+            result = session.collect()
+        assert len(result.paths) == 4
+
+    def test_unknown_keywords_are_rejected(self, service_graph):
+        session = self._session(service_graph)
+        queries = self._queries(service_graph)
+        with pytest.raises(TypeError):
+            session.submit(queries, nonsense=True)
+        with pytest.raises(TypeError):
+            session.submit(queries, SubmitOptions(), options=SubmitOptions())
         assert session.pending == 0
 
     def test_options_validate(self, service_graph):
