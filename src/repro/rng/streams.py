@@ -255,20 +255,21 @@ class BatchStreams:
 
 
 class AdoptedStreamPool:
-    """Per-walker stream state adopted from many sessions' derivations.
+    """Per-walker stream state, one slot per admitted walker.
 
-    Continuous batching fuses walkers from many sessions into one shared
-    frontier.  Each admitted walker must keep exactly the stream its home
-    session's ``StreamPool(seed)`` would have minted for its query id — the
-    same derived child key, counter starting at zero — so the fused run
-    replays every solo run's randomness bit for bit.
+    The stream pool of every :class:`~repro.runtime.frontier.Wave`.  Each
+    walker adopts exactly the stream ``StreamPool(seed)`` would mint for its
+    query id — the same derived child key, counter starting at zero — so a
+    walk's randomness does not depend on which wave runs it, or on what
+    else shares the wave.
 
-    Two sessions may legitimately submit the same query id, so unlike
-    :class:`StreamPool` this pool never shares slots: every adopted walker
-    owns a fresh ``(key, counter, draws)`` slot, exactly like two separate
-    solo sessions would.  Slot numbers are frontier positions, which keeps
-    the :meth:`BatchStreams.uniform_flat` vectorised fast path (it requires
-    unique slots) on for the whole fused frontier.
+    A continuous-batching fusion group's wave carries walkers from many
+    sessions, and two sessions may legitimately submit the same query id,
+    so unlike :class:`StreamPool` this pool never shares slots: every
+    adopted walker owns a fresh ``(key, counter, draws)`` slot, exactly like
+    two separate solo sessions would.  Slot numbers are wave positions,
+    which keeps the :meth:`BatchStreams.uniform_flat` vectorised fast path
+    (it requires unique slots) on for the whole frontier.
     """
 
     def __init__(self) -> None:
@@ -392,22 +393,6 @@ class StreamPool:
         threads = np.asarray([int(i) for i in thread_indices], dtype=np.int64)
         slots = self._ensure_slots([int(i) for i in threads])
         return BatchStreams._from_pool(self, threads, slots)
-
-    def snapshot_counters(self) -> tuple[np.ndarray, np.ndarray]:
-        """Copies of every slot's ``(counter, draws)`` state (see
-        :meth:`AdoptedStreamPool.snapshot_counters`)."""
-        return self._counters.copy(), self._draws.copy()
-
-    def restore_counters(self, snap: tuple[np.ndarray, np.ndarray]) -> None:
-        """Rewind every slot to a :meth:`snapshot_counters` state."""
-        counters, draws = snap
-        if counters.size != self._counters.size:
-            raise ValueError(
-                f"counter snapshot covers {counters.size} slots but the pool "
-                f"holds {self._counters.size}"
-            )
-        self._counters[:] = counters
-        self._draws[:] = draws
 
     @property
     def total_draws(self) -> int:

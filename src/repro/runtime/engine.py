@@ -26,11 +26,10 @@ from repro.errors import SimulationError
 from repro.graph.csr import CSRGraph
 from repro.gpusim.counters import CostCounters
 from repro.gpusim.device import A6000, DeviceSpec
-from repro.gpusim.executor import KernelExecutor, KernelResult
+from repro.gpusim.executor import KernelResult
 from repro.gpusim.multigpu import PARTITION_POLICIES, occupied_load_imbalance
-from repro.rng.streams import StreamPool
 from repro.runtime.profiler import ProfileResult
-from repro.runtime.scheduler import DynamicQueryQueue, validate_queries
+from repro.runtime.scheduler import validate_queries
 from repro.runtime.selector import FixedSelector, SamplerSelector
 from repro.sampling.base import Sampler, StepContext, is_dead_end
 from repro.sampling.ervs import EnhancedReservoirSampler
@@ -450,16 +449,13 @@ class WalkEngine:
         profile: ProfileResult | None = None,
     ) -> WalkRunResult:
         """Execute every query and return walks plus the simulated profile."""
-        started = time.perf_counter()  # repro: ignore[internal/wall-clock]
-        if self.execution == "scalar" and self.num_devices == 1:
-            result = self._run_scalar(queries, profile)
-        else:
-            from repro.runtime.frontier import PlacementLedger, Wave
+        from repro.runtime.frontier import PlacementLedger, Wave
 
-            validate_queries(queries, self.graph.num_nodes)
-            ledger = PlacementLedger(self)
-            Wave(ledger, list(queries), track_finished=False).drain()
-            result = ledger.result(profile)
+        started = time.perf_counter()  # repro: ignore[internal/wall-clock]
+        validate_queries(queries, self.graph.num_nodes)
+        ledger = PlacementLedger(self)
+        Wave(ledger, queries, track_finished=False).drain()
+        result = ledger.result(profile)
         result.wall_clock_s = time.perf_counter() - started  # repro: ignore[internal/wall-clock]
         return result
 
@@ -627,8 +623,8 @@ class WalkEngine:
         (normally the already-priced queue-fetch cost) in step order — the
         same float association the batched engine uses, so the value is
         bit-identical however the surrounding loop batches queries.  This is
-        the property both :meth:`_run_scalar` and the scalar
-        :class:`~repro.runtime.frontier.Wave` rely on.
+        the property the scalar :class:`~repro.runtime.frontier.Wave` relies
+        on.
         """
         state = WalkerState.start(query)
         query_ns = float(start_ns)
@@ -679,55 +675,3 @@ class WalkEngine:
             state.advance(next_node)
 
         return state.path, query_ns, query_counters, steps
-
-    def _run_scalar(
-        self,
-        queries: list[WalkQuery],
-        profile: ProfileResult | None = None,
-    ) -> WalkRunResult:
-        """One-query-at-a-time reference interpreter (``execution="scalar"``)."""
-        validate_queries(queries, self.graph.num_nodes)
-        pool = StreamPool(self.seed)
-        queue = DynamicQueryQueue(queries)
-
-        paths: list[list[int]] = []
-        per_query_ns = np.zeros(len(queries), dtype=np.float64)
-        aggregate = CostCounters(bytes_per_weight=self.weight_bytes)
-        usage: dict[str, int] = {}
-        total_steps = 0
-
-        while True:
-            fetch_counters = CostCounters(bytes_per_weight=self.weight_bytes)
-            query = queue.fetch(fetch_counters)
-            if query is None:
-                break
-            stream = pool.stream(query.query_id)
-            fetch_ns = self.device.lane_time_ns(fetch_counters)
-            aggregate.merge(fetch_counters)
-
-            path, query_ns, query_counters, steps = self._scalar_walk(
-                query, stream, usage, start_ns=fetch_ns
-            )
-            aggregate.merge(query_counters)
-            total_steps += steps
-
-            # Queries are fetched in submission order, so the position in the
-            # result arrays is simply how many walks have finished so far.
-            per_query_ns[len(paths)] = query_ns
-            paths.append(path)
-
-        executor = KernelExecutor(self.device)
-        kernel = executor.execute(per_query_ns, counters=aggregate, scheduling=self.scheduling)
-        return WalkRunResult(
-            paths=paths,
-            per_query_ns=per_query_ns,
-            counters=aggregate,
-            kernel=kernel,
-            sampler_usage=usage,
-            total_steps=total_steps,
-            profile=profile,
-            preprocess_time_ns=(
-                self.compiled.preprocessing_time_ns if self.compiled is not None else 0.0
-            ),
-            compiler_warnings=self._compiler_warnings(),
-        )

@@ -21,13 +21,14 @@ combine to make failure handling *exactly* reproducible:
   superstep consumes exactly the same RNG counters and lands exactly the
   same counts in the same slots as the first execution.  One recovery step,
   :meth:`FaultRuntime.recover_superstep`, runs after every newly executed
-  superstep of both drivers (a :class:`~repro.runtime.frontier.Wave` and a
-  scheduler fusion group).  After a permanent device failure it restores
-  the last checkpoint and replays the lost supersteps right away, before
-  the driver sees the next superstep; the replays re-apply none of the
-  first execution's side effects (folds, stream chunks — those remain
-  valid because the replay regenerates identical values), and only their
-  simulated time lands in the recovery ledger.  Recovered runs therefore
+  superstep of the one driver, :class:`~repro.runtime.frontier.Wave`
+  (standalone waves and scheduler fusion groups alike).  After a permanent
+  device failure it restores the last checkpoint and replays the lost
+  supersteps right away, before the wave sees the next superstep; the
+  replays re-apply none of the first execution's side effects (folds,
+  stream chunks — those remain valid because the replay regenerates
+  identical values), and only their simulated time lands in the recovery
+  ledger.  Recovered runs therefore
   produce bit-identical paths, counters and per-query base times to a
   fault-free run — only simulated time differs, surfaced as
   ``result.recovery_time_ns`` / ``result.degraded_devices`` /
@@ -273,18 +274,20 @@ class RecoveryCharge(NamedTuple):
 class FaultRuntime:
     """Mutable per-run fault state: pending events, restore point, ledger.
 
-    One instance accompanies one run (or one scheduler fusion group).  The
-    driver calls :meth:`recover_superstep` after every newly executed
-    superstep; all recovery time — checkpoint copy-outs, retries, backoff,
+    One instance accompanies one :class:`~repro.runtime.frontier.Wave`
+    (a run, or a scheduler fusion group).  The wave calls
+    :meth:`recover_superstep` after every newly executed superstep; all
+    recovery time — checkpoint copy-outs, retries, backoff,
     replayed supersteps, resent migration batches — accumulates in
     ``recovery_ns``, kept strictly apart from the placement-invariant
     per-query base times.
 
     ``ordinal`` is the run's superstep clock (the fault plan's time axis)
-    and ``checkpoint`` its restore point.  A driver that changes the run's
-    state between supersteps (scheduler admission or cancellation) sets
-    ``checkpoint = None``; :meth:`restore_point` then takes a cost-free
-    snapshot at the next superstep boundary.  ``state`` is always the
+    and ``checkpoint`` its restore point.  A wave whose state changes
+    between supersteps (:meth:`~repro.runtime.frontier.Wave.admit`,
+    :meth:`~repro.runtime.frontier.Wave.terminate`) sets
+    ``checkpoint = None``; :meth:`restore_point`, called before every
+    superstep, then takes a cost-free snapshot.  ``state`` is always the
     ``(frontier, pool, per_query_ns, aggregate, usage)`` tuple a checkpoint
     covers — the trailing arguments of :func:`take_checkpoint`.
     """

@@ -6,8 +6,9 @@ C-SAW's frontier kernels): instead of interpreting one query at a time, every
 selection once, partitions the frontier by chosen kernel and executes each
 partition through one vectorised ``sample_batch`` call.
 
-The loop is simulation-equivalent to :meth:`WalkEngine._run_scalar` by
-construction, not by accident:
+The loop is simulation-equivalent to the scalar interpreter
+(:meth:`WalkEngine._scalar_walk`, one whole walk at a time) by construction,
+not by accident:
 
 * randomness — every walker owns the same counter-based stream in both modes
   and the batch kernels consume the same counter ranges, so the sampled paths
@@ -23,20 +24,22 @@ construction, not by accident:
 The one documented exception is :class:`~repro.runtime.selector.RandomSelector`,
 whose shared-generator coin flips cannot be replayed step-synchronously.
 
-Execution and placement are separate.  A :class:`Wave` executes one batch of
-queries — superstep by superstep through :func:`iter_supersteps` (followed
-by the fault-recovery step when the engine asks for it), or walk by walk
-through the scalar interpreter — and a :class:`PlacementLedger` decides
-where that work lands: one device, D replicated devices (queries owned by
-their partition's device) or D graph shards (steps owned by the shard
-hosting the walker, priced by :class:`ShardedRunAccounting`).
-``WalkEngine.run`` drains one wave; a standalone
-:class:`~repro.service.WalkSession` streams one wave per batch of queued
-submissions into a session-wide ledger; the continuous-batching scheduler
-executes in its own fused frontier (:class:`FrontierRun`) and feeds the same
-ledger.  Placement never changes a walk — every walker's stream is keyed by
-its query id — so paths, counters and per-query base times are identical in
-every placement; only the per-device kernels and the makespan differ.
+Execution and placement are separate.  A :class:`Wave` is the one driver: it
+executes a batch of walkers — superstep by superstep through
+:func:`iter_supersteps` (with the fault-recovery step around each superstep
+when the engine asks for it), or walk by walk through the scalar
+interpreter — and reports what it executed to a ledger.  A
+:class:`PlacementLedger` decides where that work lands: one device, D
+replicated devices (queries owned by their partition's device) or D graph
+shards (steps owned by the shard hosting the walker, priced by
+:class:`ShardedRunAccounting`).  ``WalkEngine.run`` drains one wave; a
+standalone :class:`~repro.service.WalkSession` streams one wave per batch of
+queued submissions into a session-wide ledger; a continuous-batching fusion
+group is one growing wave whose scheduler-private ledger splits every
+superstep back out to the attached sessions' ledgers.  Placement never
+changes a walk — every walker's stream is keyed by its query id — so paths,
+counters and per-query base times are identical in every placement; only
+the per-device kernels and the makespan differ.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ import numpy as np
 
 from repro.gpusim.counters import CostCounters, CounterBatch
 from repro.gpusim.executor import KernelExecutor, KernelResult
-from repro.rng.streams import StreamPool
+from repro.rng.streams import AdoptedStreamPool
 from repro.runtime.faults import RecoveryCharge, reassign_owners
 from repro.sampling.batch import BatchStepContext, BufferArena
 from repro.walks.state import WalkerFrontier, WalkQuery
@@ -116,16 +119,15 @@ class NodeHintTables:
         return self.bounds[nodes], self.sums[nodes]
 
 
-
 @dataclass(frozen=True)
 class SuperstepReport:
     """What one superstep of the frontier loop did.
 
     Yielded by :func:`iter_supersteps` after each superstep's accounting has
-    already landed in the caller-supplied ``per_query_ns`` / ``aggregate`` /
-    ``usage`` structures, so observers (the placement ledger, the streaming
-    session layer, the scheduler's per-session fold) only need the
-    per-superstep views.
+    already landed in the wave's ``per_ns`` and the ledger's ``aggregate`` /
+    ``usage``, so observers (the placement ledger, the streaming session
+    layer, a fusion group's per-session fold) only need the per-superstep
+    views.
 
     Attributes
     ----------
@@ -175,92 +177,38 @@ class SuperstepReport:
 _NO_FINISHED = np.zeros(0, dtype=np.int64)
 
 
-class FrontierRun:
-    """Growable execution state for a frontier that admits walkers mid-flight.
-
-    The continuous-batching scheduler cannot hand :func:`iter_supersteps` a
-    fixed ``(frontier, streams, per_query_ns)`` triple: admission at a
-    superstep boundary grows all three.  A ``FrontierRun`` owns the triple
-    and is passed to :func:`iter_supersteps` as ``run=`` — the generator
-    re-reads the triple at the top of every superstep, so an :meth:`admit`
-    between two ``next()`` calls takes effect on the very next superstep.
-
-    Admission charges each new walker's queue fetch (one atomic, priced
-    per-slot) exactly as the one-shot launch paths do; because
-    :meth:`~repro.gpusim.device.DeviceSpec.lane_times_ns` prices each slot
-    independently of batch size, splitting one launch into many admissions
-    cannot change any walker's accounting.
-    """
-
-    __slots__ = ("engine", "frontier", "pool", "streams", "per_query_ns")
-
-    def __init__(self, engine: WalkEngine) -> None:
-        from repro.rng.streams import AdoptedStreamPool
-
-        self.engine = engine
-        self.frontier = WalkerFrontier([])
-        self.pool = AdoptedStreamPool()
-        self.streams = self.pool.batch_all()
-        self.per_query_ns = np.zeros(0, dtype=np.float64)
-
-    def __len__(self) -> int:
-        return len(self.frontier)
-
-    def admit(self, queries: list[WalkQuery], seed: int) -> tuple[np.ndarray, np.ndarray]:
-        """Admit queries whose streams derive from ``StreamPool(seed)``.
-
-        Returns the admitted walkers' frontier positions and their priced
-        fetch times (already accumulated into ``per_query_ns``).
-        """
-        positions = self.frontier.extend(queries)
-        self.pool.adopt(seed, [q.query_id for q in queries])
-        self.streams = self.pool.batch_all()
-        fetch = CounterBatch(len(queries), bytes_per_weight=self.engine.weight_bytes)
-        fetch.atomic_ops += 1
-        fetch_ns = self.engine.device.lane_times_ns(fetch)
-        self.per_query_ns = np.concatenate([self.per_query_ns, fetch_ns])
-        return positions, fetch_ns
-
-
-def iter_supersteps(
-    engine: WalkEngine,
-    frontier: WalkerFrontier,
-    streams,
-    per_query_ns: np.ndarray,
-    aggregate: CostCounters,
-    usage: dict[str, int],
-    track_finished: bool = True,
-    run: FrontierRun | None = None,
-):
+def iter_supersteps(wave: Wave):
     """Step-synchronous frontier loop, one :class:`SuperstepReport` at a time.
 
-    The generator form of the batched execution core: each ``next()``
-    advances every still-active walker by one step, lands the per-walker
-    accounting in ``per_query_ns`` (indexed by frontier position) and
-    ``aggregate``, and yields a :class:`SuperstepReport` describing what
+    The generator form of the batched execution core, driven by a
+    :class:`Wave`: each ``next()`` advances every still-active walker of the
+    wave by one step, lands the per-walker accounting in ``wave.per_ns``
+    (indexed by wave position) and in the ledger's ``aggregate`` and
+    ``usage``, and yields a :class:`SuperstepReport` describing what
     happened — which walkers stepped, what they charged, and whose walks
-    completed.  A :class:`Wave` drives it for ``WalkEngine.run`` and for
-    standalone sessions (which emit per-superstep
-    :class:`~repro.service.WalkChunk`s from the reports); the scheduler drives
-    it over a :class:`FrontierRun`.
+    completed.
+
+    The wave's frontier, streams and per-query times are re-read at the top
+    of every superstep, so walkers admitted through :meth:`Wave.admit`
+    between two ``next()`` calls join the very next superstep without a new
+    generator.  The generator returns when no walker is active; the wave
+    creates a fresh one when it next has work (all state lives on the wave
+    and the shared engine caches, so that is cheap).
 
     Because every walker owns a counter-based random stream keyed by its
     query id and every walker's counts land in its own slot, suspending the
     generator between supersteps (or splitting a batch across several
-    frontiers) cannot change any walk, count or simulated time.
+    waves) cannot change any walk, count or simulated time.
 
-    ``track_finished=False`` skips the per-superstep completion bookkeeping
-    (reports carry an empty ``finished``) — used by ``WalkEngine.run``,
-    which never reads it, to keep the benchmarked hot path free of it.
-
-    ``run`` enables mid-flight frontier injection: when a
-    :class:`FrontierRun` is given, the ``(frontier, streams, per_query_ns)``
-    triple is re-read from it at the top of every superstep, so walkers
-    admitted between ``next()`` calls join the very next superstep without
-    a new generator.  The generator still returns when no walker is active
-    — the scheduler recreates it after the next admission (all state lives
-    on the run and the shared engine caches, so recreation is cheap).
+    ``wave.track_finished=False`` skips the per-superstep completion
+    bookkeeping (reports carry an empty ``finished``) — used by
+    ``WalkEngine.run``, which never reads it, to keep the benchmarked hot
+    path free of it.
     """
+    ledger = wave.ledger
+    engine = ledger.engine
+    aggregate, usage = ledger.aggregate, ledger.usage
+    track_finished = wave.track_finished
     graph, spec, device = engine.graph, engine.spec, engine.device
 
     hints_available = engine.compiled is not None and engine.compiled.supported
@@ -271,10 +219,9 @@ def iter_supersteps(
     arena = BufferArena()
 
     while True:
-        if run is not None:
-            frontier = run.frontier
-            streams = run.streams
-            per_query_ns = run.per_query_ns
+        frontier = wave.frontier
+        streams = wave.streams
+        per_query_ns = wave.per_ns
         active = frontier.active_indices()
         if active.size == 0:
             return
@@ -848,19 +795,28 @@ class WaveStep(NamedTuple):
 
 
 class Wave:
-    """One claimed batch of queries, executed to completion.
+    """A batch of walkers executed superstep by superstep: the one driver.
 
-    The one execution driver: :meth:`WalkEngine.run` drains a single wave,
-    a standalone :class:`~repro.service.WalkSession` streams one wave per
-    batch of queued submissions.  Batched engines advance the wave one
-    superstep at a time through ``supersteps`` (:func:`iter_supersteps`);
-    when the engine has a fault plan or checkpointing, every superstep is
-    followed by :meth:`~repro.runtime.faults.FaultRuntime.recover_superstep`,
-    which replays any lost supersteps before :meth:`advance` returns.
-    Scalar engines interpret one whole walk per :meth:`advance` through
-    :meth:`WalkEngine._scalar_walk`.  Every per-device consequence — fetch
-    attribution, hosting, failover, pricing — is the
-    :class:`PlacementLedger`'s job; the wave only executes.
+    :meth:`WalkEngine.run` drains a single wave, a standalone
+    :class:`~repro.service.WalkSession` streams one wave per batch of queued
+    submissions, and every continuous-batching fusion group is one wave that
+    keeps growing through :meth:`admit`.  Batched engines advance the wave
+    one superstep at a time through ``supersteps``
+    (:func:`iter_supersteps`); when the engine has a fault plan or
+    checkpointing, every superstep is preceded by
+    :meth:`~repro.runtime.faults.FaultRuntime.restore_point` and followed by
+    :meth:`~repro.runtime.faults.FaultRuntime.recover_superstep`, which
+    replays any lost supersteps before :meth:`advance` returns.  Scalar
+    engines interpret one whole walk per :meth:`advance` through
+    :meth:`WalkEngine._scalar_walk`.  Either way each walker's stream lives
+    in one :class:`~repro.rng.streams.AdoptedStreamPool` slot, its wave
+    position.
+
+    The wave only executes.  Every consequence of the work — fetch
+    attribution, per-device hosting, failover, pricing, or a fusion group's
+    per-session split — is the ledger's job: it receives
+    ``charge_fetch``, ``observe``, ``failover``, ``absorb`` and ``record``
+    calls (see :class:`PlacementLedger`).
 
     ``track_finished=False`` skips per-walk completion bookkeeping (every
     step then reports no finished walk) for callers that only want the
@@ -876,35 +832,63 @@ class Wave:
     ) -> None:
         engine = ledger.engine
         self.ledger = ledger
-        self.queries = queries
         self.offset = len(ledger.queries)  # submission position of queries[0]
-        self.per_ns, self.counts = ledger.charge_fetch(queries, self.offset)
-        self.paths: list[list[int] | None] = [None] * len(queries)
         self.track_finished = track_finished
         self.faults = engine._fault_runtime()
-        self.ordinal = 0  # executed supersteps == every live walker's step index
+        # Executed supersteps: in a wave that never grows, every live
+        # walker's step index (what sharded accounting keys migrations by).
+        self.ordinal = 0
         self.done = False
-        self.frontier: WalkerFrontier | None = None
-        pool = StreamPool(engine.seed)
-        if engine.execution != "batched":
-            self._pool = pool
-            self._pos = 0
-            return
-        self.frontier = WalkerFrontier(queries)
-        streams = pool.batch([q.query_id for q in queries])
+        self.queries: list[WalkQuery] = []
+        self.paths: list[list[int] | None] = []
+        self.pool = AdoptedStreamPool()
+        self.streams = None
+        self.per_ns = np.zeros(0, dtype=np.float64)
+        self.counts: np.ndarray | None = None
+        self.frontier = WalkerFrontier([]) if engine.execution == "batched" else None
+        self._supersteps = supersteps
+        self._reports = None
+        self._pos = 0  # scalar: the next walk to interpret
+        self.admit(queries)
 
-        def regenerate():
-            self._reports = supersteps(
-                engine, self.frontier, streams, self.per_ns,
-                ledger.aggregate, ledger.usage, track_finished=track_finished,
+    def admit(self, queries: list[WalkQuery]) -> np.ndarray:
+        """Append walkers; they join the wave's next superstep.
+
+        The ledger charges each query's queue fetch (one atomic, priced per
+        slot, so splitting a launch into several admissions cannot change
+        any walker's accounting), and each walker adopts the stream
+        ``StreamPool(seed)`` mints for its query id.  Admission drops the
+        fault restore point: the next superstep boundary snapshots the grown
+        state.  Returns the admitted walkers' wave positions.
+        """
+        ledger = self.ledger
+        start = len(self.queries)
+        fetch_ns, counts = ledger.charge_fetch(queries, self.offset + start)
+        self.queries.extend(queries)
+        self.paths.extend([None] * len(queries))
+        self.pool.adopt(ledger.engine.seed, [q.query_id for q in queries])
+        self.per_ns = np.concatenate([self.per_ns, fetch_ns])
+        if counts is not None:
+            self.counts = (
+                counts if self.counts is None else np.concatenate([self.counts, counts], axis=1)
             )
-            return self._reports
-
-        regenerate()
+        if self.frontier is not None:
+            self.frontier.extend(queries)
+            self.streams = self.pool.batch_all()
         if self.faults is not None:
-            state = (self.frontier, pool, self.per_ns, ledger.aggregate, ledger.usage)
-            self.faults.restore_point(state)
-            self._recovery = (state, regenerate)
+            self.faults.checkpoint = None
+        self.done = False
+        return np.arange(start, len(self.queries), dtype=np.int64)
+
+    def terminate(self, positions: np.ndarray) -> None:
+        """Stop walkers mid-walk (scheduler cancellation).
+
+        Drops the fault restore point: restoring one taken before the
+        termination would resurrect the walkers.
+        """
+        self.frontier.terminate(positions)
+        if self.faults is not None:
+            self.faults.checkpoint = None
 
     @property
     def in_flight(self) -> int:
@@ -921,31 +905,45 @@ class Wave:
     def advance(self) -> WaveStep | None:
         """Execute one superstep (batched) or one walk (scalar).
 
-        Returns ``None`` when the wave just completed — ``done`` is then set
-        and the wave's accounting has been handed to the ledger.
+        Returns ``None`` when the wave has no work left — ``done`` is then
+        set and the wave's accounting has been handed to the ledger.
         """
         if self.frontier is None:
             return self._advance_scalar()
+        ledger = self.ledger
+        if self._reports is None:
+            if not self.in_flight:
+                self._finish()
+                return None
+            self._reports = self._supersteps(self)
+        faults = self.faults
+        if faults is not None:
+            state = (self.frontier, self.pool, self.per_ns, ledger.aggregate, ledger.usage)
+            faults.restore_point(state)
         report = next(self._reports, None)
         if report is None:
+            self._reports = None
             self._finish()
             return None
-        ledger = self.ledger
+        finished = report.finished
+        for i in finished:
+            self.paths[i] = self.frontier.path(i)
         ledger.observe(self, report)
         self.ordinal += 1
-        if self.faults is not None:
-            state, regenerate = self._recovery
-            charge = self.faults.recover_superstep(
-                report, state, regenerate,
+        if faults is not None:
+            charge = faults.recover_superstep(
+                report, state, self._regenerate,
                 on_failure=lambda dead: ledger.failover(self, dead),
             )
             ledger.absorb(charge)
-        finished = report.finished
         if finished.size == 0:
             return WaveStep(finished, report.steps, None)
-        for i in finished:
-            self.paths[i] = self.frontier.path(i)
         return WaveStep(finished, report.steps, report.counters.totals())
+
+    def _regenerate(self):
+        """Install a fresh superstep generator over the (restored) wave."""
+        self._reports = self._supersteps(self)
+        return self._reports
 
     def _advance_scalar(self) -> WaveStep | None:
         pos = self._pos
@@ -955,7 +953,7 @@ class Wave:
         ledger = self.ledger
         query = self.queries[pos]
         path, query_ns, counters, steps = ledger.engine._scalar_walk(
-            query, self._pool.stream(query.query_id), ledger.usage,
+            query, self.pool.stream(pos), ledger.usage,
             start_ns=float(self.per_ns[pos]),
         )
         ledger.aggregate.merge(counters)
@@ -1000,10 +998,13 @@ class PlacementLedger:
       interconnect drop must resend.
 
     Waves report to the ledger through :meth:`charge_fetch`,
-    :meth:`observe`, :meth:`failover`, :meth:`absorb` and :meth:`record`;
-    the continuous-batching scheduler, which executes attached sessions in
-    its own fused frontier, feeds the same ledger through :meth:`absorb`
-    and :meth:`record`.
+    :meth:`observe`, :meth:`failover`, :meth:`absorb` and :meth:`record`.
+    A scheduler-attached session's walkers run in its fusion group's wave,
+    which reports to a scheduler-private group ledger instead.  That ledger
+    fans the per-session fold, :meth:`failover` and :meth:`absorb` out to
+    the ledgers of the sessions involved, and the scheduler hands a
+    session's finished walks to its ledger's :meth:`record` when the
+    session goes idle.
     """
 
     def __init__(self, engine: WalkEngine) -> None:
@@ -1023,9 +1024,10 @@ class PlacementLedger:
         self.paths: list[list[int]] = []
         self._ns: list[np.ndarray] = []
         self._counts: list[np.ndarray] = []
-        # Replicated failovers: (wave offset, the wave's counts so far, dead
-        # devices, survivors), in the order the failures happened.
-        self._failovers: list[tuple[int, np.ndarray, list[int], list[int]]] = []
+        # Replicated failovers, in the order the failures happened: (queries
+        # recorded by then, the query ids in flight, their counts so far,
+        # dead devices, survivors).
+        self._failovers: list[tuple[int, list[int], np.ndarray, list[int], list[int]]] = []
         self.recovery_ns = 0.0
         self.checkpoints_taken = 0
         self.degraded: list[int] = []
@@ -1068,8 +1070,17 @@ class PlacementLedger:
         elif wave.counts is not None:
             fold_query_counts(wave.counts, report.active, report.counters)
 
-    def failover(self, wave: Wave, dead: list[int]) -> None:
-        """Degraded mode: move the dead devices' work onto the survivors."""
+    def failover(
+        self, wave: Wave, dead: list[int], walkers: np.ndarray | None = None
+    ) -> None:
+        """Degraded mode: move the dead devices' work onto the survivors.
+
+        ``walkers`` are the wave positions of this ledger's queries — the
+        whole wave unless the wave is a fusion group's, which also carries
+        other sessions' walkers.  A replicated ledger snapshots their counts
+        so far by query id: those executed before the failure stay on the
+        device that ran them.
+        """
         survivors = wave.faults.survivors()
         if self.sharded is not None:
             frontier = wave.frontier
@@ -1082,7 +1093,15 @@ class PlacementLedger:
                 ))
             self.sharded.take_over(dead, survivors, frontier)
         elif self.tracks_counts:
-            self._failovers.append((wave.offset, wave.counts.copy(), dead, survivors))
+            if walkers is None:
+                walkers = np.arange(len(wave.queries))
+            self._failovers.append((
+                len(self.queries),
+                [wave.queries[i].query_id for i in walkers],
+                wave.counts[:, walkers],
+                dead,
+                survivors,
+            ))
 
     def record(
         self,
@@ -1121,10 +1140,14 @@ class PlacementLedger:
                 device_counts[:, d] += delta[:, owner == d].sum(axis=1)
 
         before = np.zeros_like(counts)
-        for offset, wave_counts, dead, survivors in self._failovers:
+        if self._failovers:
+            column = {q.query_id: i for i, q in enumerate(self.queries)}
+        for recorded, query_ids, snapshot, dead, survivors in self._failovers:
+            # Counts executed before the failure: every query already
+            # recorded, plus the snapshot of the ones in flight.
             upto = np.zeros_like(counts)
-            upto[:, :offset] = counts[:, :offset]
-            upto[:, offset:offset + wave_counts.shape[1]] = wave_counts
+            upto[:, :recorded] = counts[:, :recorded]
+            upto[:, [column[q] for q in query_ids]] = snapshot
             fold(upto - before)
             reassign_owners(owner, dead, survivors)
             before = upto

@@ -10,14 +10,16 @@ simulated time.  The :class:`ServiceScheduler` turns that invariance into a
 multi-tenant execution loop:
 
 * walkers from every attached :class:`~repro.service.session.WalkSession`
-  merge into one shared :class:`~repro.walks.state.WalkerFrontier` per
-  compatible workload (a *fusion group*: same spec, config and plan);
+  merge into one :class:`~repro.runtime.frontier.Wave` per compatible
+  workload (a *fusion group*: same spec, config and plan) — the same driver
+  ``WalkEngine.run`` and standalone sessions use;
 * newly submitted queries are admitted at superstep boundaries — a fresh
   submission joins the very next superstep instead of waiting for the
-  current wave to drain (mid-flight injection via
-  :class:`~repro.runtime.frontier.FrontierRun`);
-* the fused counters, kernel times and sampler usage are split back out per
-  session and tenant exactly, using the per-walker slots and the
+  current walks to drain (mid-flight injection via
+  :meth:`~repro.runtime.frontier.Wave.admit`);
+* the group's wave reports to a scheduler-private ledger that splits the
+  fused counters, kernel times and sampler usage back out per session and
+  tenant exactly, using the per-walker slots and the
   :class:`~repro.runtime.frontier.SuperstepReport` sampler attribution —
   every session's ``collect()`` stays bit-identical to running it alone.
 
@@ -37,15 +39,15 @@ keeps its documented exemption from bit-exactness: its selector flips coins
 from a shared sequential generator, so fused execution interleaves the
 draws.
 
-Fault plans and checkpointing recover through the same step a standalone
-wave uses, :meth:`~repro.runtime.faults.FaultRuntime.recover_superstep`,
-run once per fused superstep on the group's
-:class:`~repro.runtime.faults.FaultRuntime`.  Admission and cancellation
-only drop the group's restore point; the next superstep boundary takes a
-cost-free snapshot.  Each step's recovery charge lands in the ledger of
-every session that had walkers in flight when the superstep began, so an
-attached session reports the recovery time, checkpoints and lost devices
-its walkers went through.
+Fault plans and checkpointing recover inside the group's wave, through the
+same restore point and recovery step as every other wave.  Admission and
+cancellation only drop the wave's restore point; the next superstep
+boundary takes a cost-free snapshot.  Each step's device loss and recovery
+charge reach the ledger of every session whose walkers the superstep
+covered, so an attached session reports the recovery time, checkpoints and
+lost devices its walkers went through, and on replicated devices its
+per-device kernels re-home the lost device's work exactly as a standalone
+wave's do.
 
 Like the frontier it wraps, the scheduler trades memory for simplicity: a
 fusion group's arrays grow monotonically with every admitted walker and are
@@ -66,17 +68,19 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.errors import QueueFull, ServiceError
-from repro.gpusim.counters import CostCounters, CounterBatch
+from repro.gpusim.counters import CostCounters
 from repro.runtime.frontier import (
-    FrontierRun,
+    PlacementLedger,
+    Wave,
     fold_counters_by_owner,
-    fold_query_counts,
     iter_supersteps,
 )
 from repro.walks.state import WalkQuery
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.config import FlexiWalkerConfig
+    from repro.runtime.faults import RecoveryCharge
+    from repro.runtime.frontier import SuperstepReport
     from repro.service.service import WalkService
     from repro.service.session import SubmitOptions, WalkChunk, WalkSession
     from repro.walks.spec import WalkSpec
@@ -179,35 +183,158 @@ class _SessionEntry:
 
 
 class _Group:
-    """One fusion group: sessions compatible enough to share a frontier."""
+    """One fusion group: sessions compatible enough to share a wave."""
 
-    __slots__ = ("key", "engine", "seed", "run", "gen", "sessions", "owner",
-                 "tenants", "aggregate", "usage", "counts", "faults")
+    __slots__ = ("key", "wave", "sessions", "owner", "tenants")
 
-    def __init__(self, key, engine, track_counts: bool) -> None:
+    def __init__(self, scheduler: ServiceScheduler, key, engine) -> None:
         self.key = key
-        self.engine = engine
-        self.seed = engine.seed
-        self.run = FrontierRun(engine)
-        self.gen = None
-        # The engine's FaultRuntime (None on the fault-free fast path): the
-        # group's superstep clock, restore point and recovery ledger.
-        self.faults = engine._fault_runtime()
         self.sessions: list[_SessionEntry] = []
-        self.owner = np.zeros(0, dtype=np.int64)     # fused pos -> gidx
-        self.tenants: list[_TenantState] = []        # fused pos -> tenant
-        # Fused-level sinks required by iter_supersteps; the per-session
-        # attribution happens in the scheduler's fold, these are only kept
-        # for group-level introspection.
-        self.aggregate = CostCounters(bytes_per_weight=engine.weight_bytes)
-        self.usage: dict[str, int] = {}
-        # Per-walker counter matrix (fused pos columns), kept only for
-        # sessions whose ledger prices a full-batch device partition.
-        self.counts = (
-            np.zeros((len(CostCounters._COUNT_FIELDS), 0), dtype=np.int64)
-            if track_counts
-            else None
+        self.owner = np.zeros(0, dtype=np.int64)     # wave pos -> gidx
+        self.tenants: list[_TenantState] = []        # wave pos -> tenant
+        # Passed by this module's name, so a tracer wrapping
+        # repro.service.scheduler.iter_supersteps (the per-layer
+        # benchmark's) sees every fused superstep.
+        self.wave = Wave(
+            _GroupLedger(scheduler, self, engine), [], supersteps=iter_supersteps
         )
+
+
+class _GroupLedger(PlacementLedger):
+    """What a fusion group's wave reports to: the exact per-session split.
+
+    The inherited state holds the fused totals — what the superstep loop
+    writes and a checkpoint rewinds; no result is ever built from them.
+    Every report also fans out to the attached sessions' own ledgers:
+
+    * :meth:`charge_fetch` charges each session its admitted walkers' queue
+      fetch atomics;
+    * :meth:`observe` splits one fused superstep back out per session and
+      tenant — counters, steps, lane time, sampler usage and completions;
+    * :meth:`failover` and :meth:`absorb` hand a recovery step's device
+      loss and charge to every session whose walkers the superstep covered
+      (``report.active`` ∪ ``report.finished``);
+    * :meth:`record` does nothing: a session records its finished walks in
+      its own ledger when it goes idle (:meth:`ServiceScheduler._flush`).
+    """
+
+    def __init__(self, scheduler: ServiceScheduler, group: _Group, engine) -> None:
+        super().__init__(engine)
+        self.scheduler = scheduler
+        self.group = group
+        self._covered: list[_SessionEntry] = []  # sessions of the last superstep
+
+    def charge_fetch(
+        self, queries: list[WalkQuery], offset: int
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """One queue atomic per admitted walker, charged to its session.
+
+        Exactly what a solo wave launch charges (lane pricing is per slot,
+        so splitting a launch across admissions changes nothing).
+        """
+        sessions = self.group.sessions
+        owners, per_session = np.unique(
+            self.group.owner[offset:offset + len(queries)], return_counts=True
+        )
+        for gidx, count in zip(owners, per_session, strict=True):
+            sessions[int(gidx)].session._ledger.aggregate.atomic_ops += int(count)
+        return super().charge_fetch(queries, offset)
+
+    def observe(self, wave: Wave, report: SuperstepReport) -> None:
+        """Split one fused superstep back out per session and tenant.
+
+        Integer counts fold exactly under any grouping (bincount of
+        per-walker integers); per-walker float times accumulate in each
+        walker's own slot in walk order, identical to a solo run — which is
+        why the per-session results stay bit-identical.
+        """
+        super().observe(wave, report)
+        scheduler, group = self.scheduler, self.group
+        engine = self.engine
+        if wave.faults is not None:
+            covered = np.unique(group.owner[np.concatenate([report.active, report.finished])])
+            self._covered = [group.sessions[int(gidx)] for gidx in covered]
+
+        steps_by: dict[int, int] = {}
+        tick_counters: dict[int, CostCounters] = {}
+        if report.active.size:
+            owners = group.owner[report.active]
+            present = np.unique(owners)
+            compact = np.searchsorted(present, owners)
+            folded = [
+                CostCounters(bytes_per_weight=engine.weight_bytes) for _ in present
+            ]
+            fold_counters_by_owner(compact, report.counters, folded, present.size)
+            step_counts = np.bincount(compact, minlength=present.size)
+            lane_ns = np.bincount(
+                compact, weights=report.step_ns, minlength=present.size
+            )
+            for j, gidx in enumerate(present):
+                entry = group.sessions[int(gidx)]
+                ledger = entry.session._ledger
+                ledger.aggregate.merge(folded[j])
+                ledger.total_steps += int(step_counts[j])
+                entry.tenant.steps += int(step_counts[j])
+                entry.tenant.lane_ns += float(lane_ns[j])
+                steps_by[int(gidx)] = int(step_counts[j])
+                tick_counters[int(gidx)] = folded[j]
+                scheduler._participants.append((entry, int(step_counts[j])))
+            # Sampler usage, attributed per session through the report's
+            # kernel assignment (key set matches solo runs: a sampler is
+            # recorded only for sessions whose walkers executed it).
+            if report.assignment is not None:
+                for pos, name in enumerate(report.sampler_names):
+                    mask = report.assignment == pos
+                    if not mask.any():
+                        continue
+                    used = np.bincount(compact[mask], minlength=present.size)
+                    for j, gidx in enumerate(present):
+                        if used[j]:
+                            usage = group.sessions[int(gidx)].session._ledger.usage
+                            usage[name] = usage.get(name, 0) + int(used[j])
+
+        if report.finished.size == 0:
+            return
+        finished_by: dict[int, list[int]] = {}
+        for i in report.finished:
+            finished_by.setdefault(int(group.owner[i]), []).append(int(i))
+        for gidx, fused in finished_by.items():
+            entry = group.sessions[gidx]
+            session = entry.session
+            query_ids = tuple(wave.queries[i].query_id for i in fused)
+            for qid, i in zip(query_ids, fused, strict=True):
+                session._path_by_qid[qid] = wave.paths[i]
+            count = len(fused)
+            entry.inflight -= count
+            scheduler._inflight -= count
+            for i in fused:
+                tenant = group.tenants[i]
+                tenant.outstanding -= 1
+                tenant.completed += 1
+            chunk = session._emit(
+                query_ids,
+                tuple(tuple(wave.paths[i]) for i in fused),
+                steps=steps_by.get(gidx, 0),
+                counters=tick_counters.get(
+                    gidx, CostCounters(bytes_per_weight=engine.weight_bytes)
+                ),
+                superstep=scheduler._tick,
+            )
+            entry.chunks.append(chunk)
+
+    def failover(self, wave: Wave, dead: list[int]) -> None:
+        """Re-home the dead devices' work in every covered session's ledger."""
+        for entry in self._covered:
+            entry.session._ledger.failover(wave, dead, entry.fused_pos)
+
+    def absorb(self, charge: RecoveryCharge) -> None:
+        """Charge the recovery step to every covered session's ledger."""
+        super().absorb(charge)
+        for entry in self._covered:
+            entry.session._ledger.absorb(charge)
+
+    def record(self, queries, paths, per_ns, counts) -> None:
+        """Nothing to record: sessions flush themselves when idle."""
 
 
 class ServiceScheduler:
@@ -278,6 +405,7 @@ class ServiceScheduler:
         self._inflight = 0
         self._queued = 0
         self._exec_seconds = 0.0
+        self._participants: list[tuple[_SessionEntry, int]] = []
 
     # ------------------------------------------------------------------ #
     # Tenants and sessions
@@ -404,7 +532,7 @@ class ServiceScheduler:
         )
         group = self._groups.get(key)
         if group is None:
-            group = _Group(key, session.engine, track_counts=session._ledger.tracks_counts)
+            group = _Group(self, key, session.engine)
             self._groups[key] = group
         return group
 
@@ -456,16 +584,18 @@ class ServiceScheduler:
     def recovery_time_ns(self) -> float:
         """Simulated recovery time accumulated by every fusion group."""
         return sum(
-            g.faults.recovery_ns for g in self._groups.values() if g.faults is not None
+            g.wave.faults.recovery_ns
+            for g in self._groups.values()
+            if g.wave.faults is not None
         )
 
     @property
     def checkpoints_taken(self) -> int:
         """Explicit (charged) checkpoints taken across every fusion group."""
         return sum(
-            g.faults.checkpoints_taken
+            g.wave.faults.checkpoints_taken
             for g in self._groups.values()
-            if g.faults is not None
+            if g.wave.faults is not None
         )
 
     @property
@@ -473,8 +603,8 @@ class ServiceScheduler:
         """Devices lost to permanent failures, across every fusion group."""
         dead: set[int] = set()
         for g in self._groups.values():
-            if g.faults is not None:
-                dead.update(g.faults.degraded)
+            if g.wave.faults is not None:
+                dead.update(g.wave.faults.degraded)
         return tuple(sorted(dead))
 
     def tenant_stats(self) -> dict[str, TenantStats]:
@@ -535,12 +665,16 @@ class ServiceScheduler:
         self._expire_deadlines()
         self._admit()
         steps = 0
-        participants: list[tuple[_SessionEntry, int]] = []
+        # (session entry, walker-steps) of every session that stepped this
+        # tick, appended by the group ledgers' per-session fold.
+        participants = self._participants = []
         for group in list(self._groups.values()):
             try:
-                steps += self._advance_group(group, participants)
+                step = group.wave.advance()
             except Exception as exc:  # noqa: BLE001 - quarantine, don't wedge
                 self._quarantine_group(group, exc)
+            else:
+                steps += step.steps if step is not None else 0
         self._tick += 1
         elapsed = time.perf_counter() - started  # repro: ignore[internal/wall-clock]
         self._exec_seconds += elapsed
@@ -643,21 +777,16 @@ class ServiceScheduler:
                 return False
             self._drop_pending(pending, reason)
             return True
-        frontier = entry.group.run.frontier
+        wave = entry.group.wave
         for i, query in enumerate(entry.queries):
             if query.query_id == qid:
                 pos = entry.fused_pos[i]
                 break
         else:  # pragma: no cover - claimed ids always have an entry slot
             return False
-        frontier.terminate(np.array([pos], dtype=np.int64))
-        session._path_by_qid[qid] = list(frontier.path(pos))
+        wave.terminate(np.array([pos], dtype=np.int64))
+        session._path_by_qid[qid] = wave.frontier.path(pos)
         session._cancelled_ids[qid] = reason
-        # A restore from a pre-cancellation checkpoint would resurrect the
-        # terminated walker; rebase the group's restore point on the
-        # post-cancellation state instead.
-        if entry.group.faults is not None:
-            entry.group.faults.checkpoint = None
         tenant = entry.group.tenants[pos]
         tenant.outstanding -= 1
         tenant.dead_letters += 1
@@ -949,24 +1078,14 @@ class ServiceScheduler:
             self._apply_admission(groups[gid], batch)
 
     def _apply_admission(self, group: _Group, batch: list[_Pending]) -> None:
-        """Inject one group's admitted walkers into its fused frontier."""
-        queries = [p.query for p in batch]
-        positions, _fetch_ns = group.run.admit(queries, group.seed)
+        """Inject one group's admitted walkers into its wave."""
         k = len(batch)
         group.owner = np.concatenate(
             [group.owner, np.array([p.entry.gidx for p in batch], dtype=np.int64)]
         )
         group.tenants.extend(p.tenant for p in batch)
-        if group.counts is not None:
-            grown = np.zeros((group.counts.shape[0], k), dtype=np.int64)
-            grown[CostCounters._COUNT_FIELDS.index("atomic_ops")] = 1
-            group.counts = np.concatenate([group.counts, grown], axis=1)
-
-        # Per-session fetch accounting: one queue atomic per admitted
-        # walker, exactly as a solo wave launch charges it (lane pricing is
-        # per-slot, so splitting a launch across admissions changes nothing).
-        per_entry: dict[int, int] = {}
-        for pos, p in zip(positions, batch, strict=False):
+        positions = group.wave.admit([p.query for p in batch])
+        for pos, p in zip(positions, batch, strict=True):
             entry = p.entry
             entry.fused_pos.append(int(pos))
             entry.queries.append(p.query)
@@ -976,153 +1095,8 @@ class ServiceScheduler:
             entry.session._claimed_ids.add(p.query.query_id)
             entry.session._start_step_by_qid[p.query.query_id] = self._tick
             p.tenant.admitted += 1
-            per_entry[entry.gidx] = per_entry.get(entry.gidx, 0) + 1
-        for gidx, count in per_entry.items():
-            fetch = CounterBatch(count, bytes_per_weight=group.engine.weight_bytes)
-            fetch.atomic_ops += 1
-            group.sessions[gidx].session._ledger.aggregate.merge(fetch.totals())
         self._queued -= k
         self._inflight += k
-        # Admission grew the frontier, so the group's restore point no
-        # longer matches its state; a fresh (cost-free) boundary snapshot
-        # is taken before the next superstep runs.
-        if group.faults is not None:
-            group.faults.checkpoint = None
-
-    # ------------------------------------------------------------------ #
-    # Superstep execution and exact per-session attribution
-    # ------------------------------------------------------------------ #
-    def _advance_group(
-        self, group: _Group, participants: list[tuple[_SessionEntry, int]]
-    ) -> int:
-        run = group.run
-        if group.gen is None:
-            if run.frontier.active_indices().size == 0:
-                return 0
-            self._group_gen(group)
-        faults = group.faults
-        if faults is not None:
-            state = (run.frontier, run.pool, run.per_query_ns, group.aggregate, group.usage)
-            faults.restore_point(state)
-            # Sessions whose walkers the superstep (and so its recovery)
-            # covers: their ledgers share the step's recovery charge.
-            charged = [entry for entry in group.sessions if entry.inflight]
-        try:
-            report = next(group.gen)
-        except StopIteration:
-            group.gen = None
-            return 0
-        self._fold(group, report, participants)
-        if faults is not None:
-            # Replaying within this tick matters: admissions land only at
-            # tick boundaries, so no walker can join mid-replay.
-            charge = faults.recover_superstep(
-                report, state, lambda: self._group_gen(group)
-            )
-            for entry in charged:
-                entry.session._ledger.absorb(charge)
-        return report.steps
-
-    def _group_gen(self, group: _Group):
-        """(Re)create the group's superstep generator over its fused run."""
-        run = group.run
-        group.gen = iter_supersteps(
-            group.engine,
-            run.frontier,
-            run.streams,
-            run.per_query_ns,
-            group.aggregate,
-            group.usage,
-            track_finished=True,
-            run=run,
-        )
-        return group.gen
-
-    def _fold(
-        self,
-        group: _Group,
-        report,
-        participants: list[tuple[_SessionEntry, int]],
-    ) -> None:
-        """Split one fused superstep back out per session and tenant.
-
-        Integer counts fold exactly under any grouping (bincount of
-        per-walker integers); per-walker float times accumulate in each
-        walker's own slot in walk order, identical to a solo run — which is
-        why the per-session results stay bit-identical.
-        """
-        engine = group.engine
-        if group.counts is not None and report.active.size:
-            fold_query_counts(group.counts, report.active, report.counters)
-
-        steps_by: dict[int, int] = {}
-        tick_counters: dict[int, CostCounters] = {}
-        if report.active.size:
-            owners = group.owner[report.active]
-            present = np.unique(owners)
-            compact = np.searchsorted(present, owners)
-            folded = [
-                CostCounters(bytes_per_weight=engine.weight_bytes) for _ in present
-            ]
-            fold_counters_by_owner(compact, report.counters, folded, present.size)
-            step_counts = np.bincount(compact, minlength=present.size)
-            lane_ns = np.bincount(
-                compact, weights=report.step_ns, minlength=present.size
-            )
-            for j, gidx in enumerate(present):
-                entry = group.sessions[int(gidx)]
-                ledger = entry.session._ledger
-                ledger.aggregate.merge(folded[j])
-                ledger.total_steps += int(step_counts[j])
-                entry.tenant.steps += int(step_counts[j])
-                entry.tenant.lane_ns += float(lane_ns[j])
-                steps_by[int(gidx)] = int(step_counts[j])
-                tick_counters[int(gidx)] = folded[j]
-                participants.append((entry, int(step_counts[j])))
-            # Sampler usage, attributed per session through the report's
-            # kernel assignment (key set matches solo runs: a sampler is
-            # recorded only for sessions whose walkers executed it).
-            if report.assignment is not None:
-                for pos, name in enumerate(report.sampler_names):
-                    mask = report.assignment == pos
-                    if not mask.any():
-                        continue
-                    used = np.bincount(compact[mask], minlength=present.size)
-                    for j, gidx in enumerate(present):
-                        if used[j]:
-                            usage = group.sessions[int(gidx)].session._ledger.usage
-                            usage[name] = usage.get(name, 0) + int(used[j])
-
-        if report.finished.size == 0:
-            return
-        finished_by: dict[int, list[int]] = {}
-        for i in report.finished:
-            finished_by.setdefault(int(group.owner[i]), []).append(int(i))
-        frontier = group.run.frontier
-        for gidx, fused in finished_by.items():
-            entry = group.sessions[gidx]
-            session = entry.session
-            paths = tuple(tuple(frontier.path(i)) for i in fused)
-            query_ids = tuple(frontier.queries[i].query_id for i in fused)
-            for qid, path in zip(query_ids, paths, strict=False):
-                session._path_by_qid[qid] = list(path)
-            count = len(fused)
-            entry.inflight -= count
-            self._inflight -= count
-            for i in fused:
-                tenant = group.tenants[i]
-                tenant.outstanding -= 1
-                tenant.completed += 1
-            chunk = session._emit(
-                query_ids,
-                paths,
-                steps=steps_by.get(gidx, 0),
-                counters=tick_counters.get(
-                    gidx, CostCounters(bytes_per_weight=engine.weight_bytes)
-                ),
-                superstep=self._tick,
-            )
-            entry.chunks.append(chunk)
 
     # ------------------------------------------------------------------ #
     # Finalisation
@@ -1144,15 +1118,15 @@ class ServiceScheduler:
         if entry.queued + entry.inflight:  # pragma: no cover - defensive
             raise ServiceError("cannot flush a session with pending walkers")
         session = entry.session
-        group = entry.group
+        wave = entry.group.wave
         order = sorted(range(start, end), key=lambda i: entry.sub_ords[i])
         fused = np.array([entry.fused_pos[i] for i in order], dtype=np.int64)
         queries = [entry.queries[i] for i in order]
         session._ledger.record(
             queries,
             [session._path_by_qid[q.query_id] for q in queries],
-            group.run.per_query_ns[fused],
-            group.counts[:, fused] if group.counts is not None else None,
+            wave.per_ns[fused],
+            wave.counts[:, fused] if wave.counts is not None else None,
         )
         entry.flushed = end
 

@@ -14,10 +14,10 @@ session — only the per-tenant run state: a
 one wave and advances it one superstep (or, for scalar plans, one walk) per
 :meth:`~WalkSession.stream` step — the same wave driver and ledger
 ``WalkEngine.run`` uses, so placement, pricing and fault failover cannot
-differ between the two.  A scheduler-attached session executes in the
-scheduler's fused frontier instead: the scheduler charges each of the fusion
-group's recovery steps to the session's ledger while the session has
-walkers in flight, and records its finished walks when it goes idle.
+differ between the two.  A scheduler-attached session's walkers run in its
+fusion group's wave instead, whose ledger splits every superstep — and any
+recovery step or device loss — back out to the session's ledger; the
+scheduler records the session's finished walks when it goes idle.
 
 **Exactness.**  Every walker owns a counter-based random stream keyed by its
 query id, every walker's operation counts land in its own slot, and

@@ -7,11 +7,12 @@ checkpoint cadence, a recovered run must reproduce the fault-free run's
 paths, per-query base times and counter totals bit-identically.  Only the
 simulated clock may differ (the recovery ledger).  Hypothesis generates the
 fault schedules; the invariant is asserted across the batched single-device,
-fused multi-device, sharded and scheduler-fused execution modes.  Three more
+fused multi-device, sharded and scheduler-fused execution modes.  Four more
 modes hold a session to the engine under the same plans: its ``collect()``
 must equal ``engine.run()`` in every field, simulated clock included — a
 standalone session with replicated or sharded placement on two devices,
-and a scheduler-attached session that submits everything up front.
+and a scheduler-attached session that submits everything up front, on one
+device or two replicated ones.
 
 The example budget is bounded for tier-1 (``CHAOS_MAX_EXAMPLES``, default
 15); the tier-2 nightly re-runs the suite with a larger budget to explore
@@ -185,23 +186,30 @@ class TestChaosRecoveryInvariant:
         session.submit(QUERIES)
         assert_same_result(session.collect(), session.engine.run(QUERIES))
 
+    @pytest.mark.parametrize("num_devices", [1, 2])
     @settings(max_examples=CHAOS_MAX_EXAMPLES, deadline=None)
     @given(plan=fault_plans, interval=intervals)
-    def test_attached_session_equals_engine(self, plan, interval):
+    def test_attached_session_equals_engine(self, num_devices, plan, interval):
         """A scheduler-attached session is charged its fusion group's
         recovery: with every query submitted before the first tick, its
-        ``collect()`` equals ``engine.run()`` in every field."""
+        ``collect()`` equals ``engine.run()`` in every field — on two
+        replicated devices too, where a device loss re-homes the session's
+        walkers exactly as it does in a standalone wave."""
         config = FlexiWalkerConfig(
-            device=DEVICE, seed=3, fault_plan=plan, checkpoint_interval=interval
+            device=DEVICE, seed=3, num_devices=num_devices,
+            fault_plan=plan, checkpoint_interval=interval,
         )
-        scheduler = WalkService(GRAPH, fleet=DeviceFleet(DEVICE)).scheduler()
+        fleet = DeviceFleet(DEVICE, count=num_devices)
+        scheduler = WalkService(GRAPH, fleet=fleet).scheduler()
         session = scheduler.session(DeepWalkSpec(), config)
         session.submit(QUERIES)
         result = session.collect()
         assert_same_result(result, session.engine.run(QUERIES))
         assert scheduler.recovery_time_ns == result.recovery_time_ns
         assert scheduler.checkpoints_taken == result.checkpoints_taken
-        assert scheduler.degraded_devices == result.degraded_devices
+        # The scheduler's roster is sorted (a union over fusion groups); a
+        # run result lists its devices in failure order.
+        assert scheduler.degraded_devices == tuple(sorted(result.degraded_devices))
 
 
 def assert_same_kernel(kernel, reference) -> None:

@@ -22,7 +22,7 @@ from repro.gpusim.device import A6000
 from repro.graph.generators import barabasi_albert_graph
 from repro.graph.labels import random_edge_labels
 from repro.graph.weights import uniform_weights
-from repro.rng.streams import StreamPool
+from repro.rng.streams import AdoptedStreamPool
 from repro.runtime.engine import WalkEngine
 from repro.runtime.faults import (
     DEFAULT_CHECKPOINT_INTERVAL,
@@ -37,11 +37,11 @@ from repro.runtime.faults import (
     restore_checkpoint,
     take_checkpoint,
 )
-from repro.runtime.frontier import iter_supersteps
+from repro.runtime.frontier import PlacementLedger, Wave, iter_supersteps
 from repro.service import WalkService, negotiate_plan
 from repro.walks.deepwalk import DeepWalkSpec
 from repro.walks.metapath import MetaPathSpec
-from repro.walks.state import WalkQuery, WalkerFrontier
+from repro.walks.state import WalkQuery
 
 DEVICE = dataclasses.replace(A6000, parallel_lanes=8)
 GRAPH = barabasi_albert_graph(50, 3, seed=9, name="faults-test")
@@ -104,36 +104,29 @@ class TestFaultPlanValidation:
 
 
 class TestCheckpointRoundtrip:
-    def _drive(self, engine, frontier, pool, streams, per_ns, aggregate, usage, n):
-        gen = iter_supersteps(engine, frontier, streams, per_ns, aggregate, usage)
-        reports = []
-        for _ in range(n):
-            reports.append(next(gen))
-        return reports
+    def _drive(self, wave, n):
+        gen = iter_supersteps(wave)
+        return [next(gen) for _ in range(n)]
 
     def test_restore_rewinds_walkers_rng_and_accounting(self):
         engine = WalkEngine(graph=GRAPH, spec=DeepWalkSpec(), device=DEVICE)
-        batch = queries()
-        pool = StreamPool(engine.seed)
-        frontier = WalkerFrontier(batch)
-        streams = pool.batch([q.query_id for q in batch])
-        per_ns = np.zeros(len(batch))
-        aggregate = CostCounters(bytes_per_weight=engine.weight_bytes)
-        usage: dict[str, int] = {}
+        ledger = PlacementLedger(engine)
+        wave = Wave(ledger, queries())
+        state = (wave.frontier, wave.pool, wave.per_ns, ledger.aggregate, ledger.usage)
 
-        self._drive(engine, frontier, pool, streams, per_ns, aggregate, usage, 3)
-        cp = take_checkpoint(2, frontier, pool, per_ns, aggregate, usage)
+        self._drive(wave, 3)
+        cp = take_checkpoint(2, *state)
         assert cp.ordinal == 2
-        assert cp.payload_bytes == int(frontier.active_indices().size) * 72
+        assert cp.payload_bytes == int(wave.frontier.active_indices().size) * 72
 
         # Advance past the checkpoint, then rewind and re-advance: the
         # replay must land on bit-identical state (counter-based streams).
-        first = self._drive(engine, frontier, pool, streams, per_ns, aggregate, usage, 2)
-        after_ns = per_ns.copy()
-        restore_checkpoint(cp, frontier, pool, per_ns, aggregate, usage)
-        assert not np.array_equal(per_ns, after_ns)
-        replay = self._drive(engine, frontier, pool, streams, per_ns, aggregate, usage, 2)
-        assert np.array_equal(per_ns, after_ns)
+        first = self._drive(wave, 2)
+        after_ns = wave.per_ns.copy()
+        restore_checkpoint(cp, *state)
+        assert not np.array_equal(wave.per_ns, after_ns)
+        replay = self._drive(wave, 2)
+        assert np.array_equal(wave.per_ns, after_ns)
         for a, b in zip(first, replay, strict=False):
             assert np.array_equal(a.active, b.active)
             assert a.steps == b.steps
@@ -149,11 +142,11 @@ class TestCheckpointRoundtrip:
         assert recovered.degraded_devices == (0,)
 
     def test_pool_snapshot_size_mismatch_rejected(self):
-        pool = StreamPool(7)
-        pool.batch([0, 1, 2])
+        pool = AdoptedStreamPool()
+        pool.adopt(7, [0, 1, 2])
         snap = pool.snapshot_counters()
-        other = StreamPool(7)
-        other.batch([0, 1])
+        other = AdoptedStreamPool()
+        other.adopt(7, [0, 1])
         with pytest.raises(ValueError, match="slots"):
             other.restore_counters(snap)
 
