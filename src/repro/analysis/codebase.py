@@ -52,7 +52,7 @@ from repro.analysis.diagnostics import (
 _GRAPH_CACHE_ATTRS = frozenset({"_edge_key_cache", "_in_degree_cache"})
 _GRAPH_CACHE_ALLOWED = ("graph/csr.py", "graph/invalidation.py")
 
-#: TransitionCache private state (weights/CDF/alias tables + fill masks).
+#: TransitionCache private state (weights/CDF/alias tables/node maxima + fill masks).
 _TC_PRIVATE_ATTRS = frozenset(
     {
         "_weights",
@@ -63,6 +63,8 @@ _TC_PRIVATE_ATTRS = frozenset(
         "_alias_prob",
         "_alias_idx",
         "_have_alias",
+        "_node_max",
+        "_have_max",
     }
 )
 _TC_ALLOWED = ("sampling/transition_cache.py", "graph/invalidation.py")

@@ -22,6 +22,7 @@ import ast
 import inspect
 import linecache
 import textwrap
+import weakref
 from dataclasses import dataclass, field
 
 from repro.analysis.diagnostics import Diagnostic, Severity, SourceSpan
@@ -140,19 +141,53 @@ def get_source_line(file: str, lineno: int) -> str:
     return linecache.getline(file, lineno)
 
 
-def _load_function(fn, name: str) -> HookSource | None:
-    """Parse one bound/unbound function into a :class:`HookSource`."""
+#: Parsed sources, keyed by function object.  Every graph delta recompiles
+#: the workload and so re-verifies the same hook functions; reading and
+#: parsing each function's source once keeps that fixed cost off the update
+#: path.  Failures are not cached.
+_PARSED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def parse_function_source(fn) -> tuple[ast.Module, str, int] | None:
+    """``(module AST, file, first line)`` of ``fn``'s source, parsed once.
+
+    ``None`` when the source cannot be read (REPL/exec-defined functions)
+    or does not parse.  Decorators are unwrapped and bound methods resolve
+    to their function, so every lookup of one hook shares one parse.  The
+    AST is shared between callers and must not be mutated.
+    """
     try:
         unwrapped = inspect.unwrap(fn)
+    except ValueError:
+        return None
+    key = getattr(unwrapped, "__func__", unwrapped)
+    try:
+        return _PARSED[key]
+    except (KeyError, TypeError):
+        pass
+    try:
         lines, start = inspect.getsourcelines(unwrapped)
         file = inspect.getsourcefile(unwrapped) or "<unknown>"
     except (OSError, TypeError, ValueError):
         return None
-    source = textwrap.dedent("".join(lines))
     try:
-        tree = ast.parse(source)
+        tree = ast.parse(textwrap.dedent("".join(lines)))
     except SyntaxError:
         return None
+    parsed = (tree, file, start)
+    try:
+        _PARSED[key] = parsed
+    except TypeError:  # not weak-referenceable: parse again next time
+        pass
+    return parsed
+
+
+def _load_function(fn, name: str) -> HookSource | None:
+    """Parse one bound/unbound function into a :class:`HookSource`."""
+    parsed = parse_function_source(fn)
+    if parsed is None:
+        return None
+    tree, file, start = parsed
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node

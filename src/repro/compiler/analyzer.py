@@ -20,11 +20,9 @@ The analyser parses the Python source of a walk specification's
 from __future__ import annotations
 
 import ast
-import inspect
-import textwrap
 from dataclasses import dataclass, field
 
-from repro.analysis.hooks import get_weight_reads_state
+from repro.analysis.hooks import get_weight_reads_state, parse_function_source
 from repro.compiler.flags import BoundGranularity
 from repro.walks.spec import WalkSpec
 
@@ -112,14 +110,10 @@ def _get_weight_ast(spec: WalkSpec) -> ast.FunctionDef | None:
     specs) or does not parse; the caller degrades to eRVS-only with a
     warning instead of failing the whole compile.
     """
-    try:
-        source = inspect.getsource(spec.get_weight)
-    except (OSError, TypeError):
+    parsed = parse_function_source(spec.get_weight)
+    if parsed is None:
         return None
-    try:
-        tree = ast.parse(textwrap.dedent(source))
-    except SyntaxError:
-        return None
+    tree = parsed[0]
     fallback: ast.FunctionDef | None = None
     for node in ast.walk(tree):
         if isinstance(node, ast.FunctionDef):

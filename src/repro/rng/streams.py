@@ -10,7 +10,8 @@ Because the generator is counter-based, a stream's state is just the pair
 ``(key, counter)``.  :class:`StreamPool` therefore keeps the state of every
 stream it owns in parallel numpy arrays; the per-walker stream objects the
 scalar paths hand around (:class:`PooledStream`) are views into those arrays,
-and the batched engine's cross-stream draws (:meth:`BatchStreams.uniform_flat`)
+and the batched engine's cross-stream draws (:meth:`BatchStreams.reserve`,
+then :meth:`BatchStreams.uniform_at` or :meth:`BatchStreams.uniform_flat`)
 reserve counters for thousands of streams with a handful of vectorised array
 operations instead of one Python call per stream.
 """
@@ -165,14 +166,25 @@ class BatchStreams:
     the scalar engine's per-walker randomness exactly while running the whole
     frontier through a single numpy expression.
 
+    Drawing is split in two steps.  :meth:`reserve` claims a block of
+    counters per stream (advancing its counter and draw tally exactly like
+    ``uniform(n)``), and :meth:`uniform_at` evaluates Philox at chosen
+    positions inside the claimed blocks.  :meth:`uniform_flat` is the two
+    steps back to back; a kernel that may not need every value of its block
+    (a rejection trial that accepts early) reserves the block and evaluates
+    only the positions it reads.
+
     Two backings exist: batches minted by :meth:`StreamPool.batch` operate
     directly on the pool's state arrays (counter reservation is a fancy-index
     add — no per-stream Python work at all), while batches built from a list
     of standalone :class:`CountingStream` objects reserve through each object
-    so external streams observe their draws.
+    so external streams observe their draws.  A pool-backed batch whose slots
+    repeat (the same stream listed twice) must reserve stream by stream; the
+    batch decides that once, when it is minted, and a subset taken at
+    strictly increasing positions inherits the parent's answer.
     """
 
-    __slots__ = ("streams", "_keys", "_pool", "_slots", "_threads")
+    __slots__ = ("streams", "_keys", "_pool", "_slots", "_threads", "_unique")
 
     def __init__(self, streams: Sequence[CountingStream]) -> None:
         self.streams = list(streams)
@@ -180,15 +192,21 @@ class BatchStreams:
         self._pool = None
         self._slots = None
         self._threads = None
+        self._unique = False
 
     @classmethod
-    def _from_pool(cls, pool: StreamPool, threads: np.ndarray, slots: np.ndarray) -> BatchStreams:
+    def _from_pool(
+        cls, pool: StreamPool, threads: np.ndarray, slots: np.ndarray, unique: bool | None = None
+    ) -> BatchStreams:
         self = cls.__new__(cls)
         self.streams = None
         self._pool = pool
         self._slots = slots
         self._threads = threads
         self._keys = pool._keys[slots]
+        if unique is None:
+            unique = np.unique(slots).size == slots.size
+        self._unique = bool(unique)
         return self
 
     def __len__(self) -> int:
@@ -198,13 +216,19 @@ class BatchStreams:
         """A view over a subset of the streams (shared stream state)."""
         idx = np.asarray(indices, dtype=np.int64)
         if self._pool is not None:
-            return BatchStreams._from_pool(self._pool, self._threads[idx], self._slots[idx])
+            unique = None
+            if self._unique and bool(np.all(idx[1:] > idx[:-1])):
+                unique = True
+            return BatchStreams._from_pool(
+                self._pool, self._threads[idx], self._slots[idx], unique
+            )
         sub = BatchStreams.__new__(BatchStreams)
         sub.streams = [self.streams[int(i)] for i in idx]
         sub._keys = self._keys[idx]
         sub._pool = None
         sub._slots = None
         sub._threads = None
+        sub._unique = False
         return sub
 
     def stream(self, index: int) -> CountingStream:
@@ -212,6 +236,47 @@ class BatchStreams:
         if self._pool is not None:
             return self._pool.stream(int(self._threads[int(index)]))
         return self.streams[int(index)]
+
+    def reserve(self, counts: np.ndarray) -> np.ndarray:
+        """Claim ``counts[i]`` draws from stream ``i`` and return the starts.
+
+        Each stream's counter and draw tally advance by ``counts[i]`` —
+        exactly what ``stream.uniform(counts[i])`` would do — and the
+        returned ``uint64`` array holds the counter each block starts at.
+        No variate is evaluated: :meth:`uniform_at` evaluates positions of
+        the claimed blocks on demand.
+        """
+        counts = np.asarray(counts, dtype=np.int64)
+        if counts.size != len(self):
+            raise ValueError("counts must have one entry per stream")
+        if self._pool is not None and self._unique:
+            # Unique pool slots (the engine's case — one slot per walker):
+            # reserve every stream's counters with one fancy-index update.
+            pool = self._pool
+            starts = pool._counters[self._slots]
+            with np.errstate(over="ignore"):
+                pool._counters[self._slots] = starts + counts.astype(np.uint64)
+            pool._draws[self._slots] += counts
+            return starts
+        # Duplicate slots (the same stream listed twice) or standalone
+        # streams: reserve sequentially so repeats see each other's draws.
+        starts = np.zeros(counts.size, dtype=np.uint64)
+        for i, c in enumerate(counts):
+            if c > 0:
+                starts[i] = self.stream(i).reserve(int(c))
+        return starts
+
+    def uniform_at(self, starts: np.ndarray, positions: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """Evaluate the uniforms at ``starts + positions`` of the given streams.
+
+        ``idx`` names the stream of every requested value; ``starts`` and
+        ``positions`` are parallel to it.  With ``starts`` from
+        :meth:`reserve`, position ``p`` yields the ``p``-th value
+        ``uniform(counts[i])`` would have returned.
+        """
+        with np.errstate(over="ignore"):
+            ctrs = starts + np.asarray(positions).astype(np.uint64)
+        return philox_uniform(self._keys[idx], ctrs)
 
     def uniform_flat(self, counts: np.ndarray) -> np.ndarray:
         """Draw ``counts[i]`` uniforms from stream ``i``, concatenated.
@@ -226,28 +291,11 @@ class BatchStreams:
         total = int(counts.sum())
         if total == 0:
             return np.zeros(0, dtype=np.float64)
-        if self._pool is not None and np.unique(self._slots).size == self._slots.size:
-            # Pool-backed with unique slots (the engine's case — walker
-            # streams are keyed by unique query ids): reserve every stream's
-            # counters with one fancy-index update, then evaluate Philox once
-            # for all draws.  Duplicate slots (the same stream listed twice)
-            # need sequential reservation and take the per-stream loop below.
-            pool = self._pool
-            starts = pool._counters[self._slots].copy()
-            with np.errstate(over="ignore"):
-                pool._counters[self._slots] = starts + counts.astype(np.uint64)
-            pool._draws[self._slots] += counts
-        else:
-            starts = np.zeros(counts.size, dtype=np.uint64)
-            for i, c in enumerate(counts):
-                if c > 0:
-                    starts[i] = self.stream(i).reserve(int(c))
+        starts = self.reserve(counts)
         offsets = np.concatenate(([0], np.cumsum(counts)))
         seg = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
-        local = (np.arange(total, dtype=np.int64) - offsets[:-1][seg]).astype(np.uint64)
-        with np.errstate(over="ignore"):
-            ctrs = starts[seg] + local
-        return philox_uniform(self._keys[seg], ctrs)
+        local = np.arange(total, dtype=np.int64) - offsets[:-1][seg]
+        return self.uniform_at(starts[seg], local, seg)
 
     def uniform_each(self) -> np.ndarray:
         """One uniform per stream (the vectorised form of ``uniform()``)."""
@@ -267,9 +315,10 @@ class AdoptedStreamPool:
     sessions, and two sessions may legitimately submit the same query id,
     so unlike :class:`StreamPool` this pool never shares slots: every
     adopted walker owns a fresh ``(key, counter, draws)`` slot, exactly like
-    two separate solo sessions would.  Slot numbers are wave positions,
-    which keeps the :meth:`BatchStreams.uniform_flat` vectorised fast path
-    (it requires unique slots) on for the whole frontier.
+    two separate solo sessions would.  Slot numbers are wave positions, so
+    :meth:`batch_all` is unique by construction and keeps the vectorised
+    :meth:`BatchStreams.reserve` (it requires unique slots) on for the whole
+    frontier without checking.
     """
 
     def __init__(self) -> None:
@@ -309,7 +358,7 @@ class AdoptedStreamPool:
     def batch_all(self) -> BatchStreams:
         """Bundle every adopted stream, indexed by frontier position."""
         slots = np.arange(len(self), dtype=np.int64)
-        return BatchStreams._from_pool(self, slots, slots)
+        return BatchStreams._from_pool(self, slots, slots, unique=True)
 
     def snapshot_counters(self) -> tuple[np.ndarray, np.ndarray]:
         """Copies of every slot's ``(counter, draws)`` state.

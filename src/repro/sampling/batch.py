@@ -382,14 +382,23 @@ class BatchStepContext:
         for every walker, or only for the subset ``idx`` (used when only some
         walkers of a partition take the scanning path).
         """
-        weights = self.transition_weights()
+        self.charge_gather(passes, coalesced, idx)
+        return self.transition_weights()
+
+    def charge_gather(self, passes: int = 1, coalesced: bool = True,
+                      idx: np.ndarray | None = None) -> None:
+        """Charge the scan cost of :meth:`gather_weights` without reading weights.
+
+        For kernels that get the scan's result another way (eRJS reads a
+        node-only workload's maximum from the transition cache) but whose
+        modeled kernel still scans.
+        """
         degrees = self.degrees if idx is None else self.degrees[idx]
         field_name = "coalesced_accesses" if coalesced else "random_accesses"
         self.charge(field_name, degrees * passes, idx)
         self.charge("weight_computations", degrees, idx)
         scan_words = self.spec.scan_cost_words_batch(self.graph, self)
         self.charge("coalesced_accesses", scan_words if idx is None else scan_words[idx], idx)
-        return weights
 
     # -- scalar-fallback bridge ---------------------------------------- #
     def state(self, i: int) -> WalkerState:

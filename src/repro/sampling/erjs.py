@@ -12,6 +12,16 @@ changes, so a looser bound costs extra trials, never correctness.
 
 When no bound hint is available (the compiler fell back, or the user opted
 out) the kernel degrades gracefully to the baseline max-reduction path.
+
+On the host, the batched kernel reads only the weights its trials probe
+whenever the workload's weights are node-only (a transition cache is
+attached): the widening maximum comes from the cache's per-node maximum,
+each trial reads one cached weight and evaluates its random numbers only
+when the walker reaches it, and the chosen neighbour is read straight from
+the CSR.  Nothing is flattened per candidate edge, so host work follows
+the modeled ``O(trials)`` rather than ``O(Σ degree)``.  State-dependent
+workloads (Node2Vec) still evaluate every candidate's weight, which the
+widening rule needs until the bound is proven sound.
 """
 
 from __future__ import annotations
@@ -20,7 +30,7 @@ import numpy as np
 
 from repro.sampling.base import Sampler, StepContext, gather_transition_weights
 from repro.sampling.batch import BatchStepContext, segment_max
-from repro.sampling.rejection import run_rejection_trials, run_rejection_trials_batch
+from repro.sampling.rejection import flat_probe, run_rejection_trials, run_rejection_trials_batch
 
 
 class EnhancedRejectionSampler(Sampler):
@@ -99,11 +109,22 @@ class EnhancedRejectionSampler(Sampler):
         Walkers with a usable compiler bound pay one uncoalesced hint read;
         the rest fall back to the scan + max-reduction path — per walker,
         exactly the branch the scalar kernel would have taken, with the same
-        trial draws and the same charges.
+        trial draws and the same charges.  With a transition cache attached,
+        the scan is charged but not performed: its result is the cached
+        per-node maximum, which is also the widening maximum.
         """
         degrees = batch.degrees
-        weights = batch.transition_weights()
-        true_max = segment_max(weights, degrees)
+        cache = batch.transition_cache
+        if cache is not None:
+            true_max = cache.node_max(batch.current)
+            edge_start = batch.edge_start
+
+            def probe(walkers: np.ndarray, xs: np.ndarray) -> np.ndarray:
+                return cache.edge_weights(edge_start[walkers] + xs)
+        else:
+            weights = batch.transition_weights()
+            true_max = segment_max(weights, degrees)
+            probe = flat_probe(batch, weights)
 
         hinted = np.zeros(batch.size, dtype=bool)
         if self.use_estimated_bound and batch.bound_hints is not None:
@@ -120,7 +141,7 @@ class EnhancedRejectionSampler(Sampler):
         scan_idx = np.nonzero(~hinted)[0]
         if scan_idx.size:
             # Fallback: exact maximum via a full scan + max reduction (Fig. 5a).
-            batch.gather_weights(idx=scan_idx)
+            batch.charge_gather(idx=scan_idx)
             batch.charge("reduction_elements", degrees[scan_idx], scan_idx)
             bounds[scan_idx] = true_max[scan_idx]
 
@@ -134,15 +155,14 @@ class EnhancedRejectionSampler(Sampler):
         max_trials = np.maximum(self.min_trials, self.max_trial_factor * degrees)
         choice = np.full(batch.size, -1, dtype=np.int64)
         choice[alive] = run_rejection_trials_batch(
-            batch, alive, weights, bounds[alive], max_trials[alive]
+            batch, alive, probe, bounds[alive], max_trials[alive], lazy=cache is not None
         )
         for i in alive[choice[alive] < 0]:
-            lo, hi = int(batch.offsets[i]), int(batch.offsets[i + 1])
-            wslice = weights[lo:hi]
+            degree = int(degrees[i])
+            wslice = probe(np.full(degree, i), np.arange(degree))
             total = float(wslice.sum())
             if total <= 0.0:
                 continue
-            degree = hi - lo
             only = np.array([i])
             batch.charge("coalesced_accesses", degree, only)
             batch.charge("weight_computations", degree, only)
@@ -152,5 +172,5 @@ class EnhancedRejectionSampler(Sampler):
             batch.charge("rng_draws", 1, only)
             choice[i] = min(int(np.searchsorted(cdf, u * total, side="right")), degree - 1)
         picked = np.nonzero(choice >= 0)[0]
-        out[picked] = batch.neighbors_flat[batch.offsets[:-1][picked] + choice[picked]]
+        out[picked] = batch.graph.indices[batch.edge_start[picked] + choice[picked]]
         return out

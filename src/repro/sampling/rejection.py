@@ -6,9 +6,21 @@ neighbour uniformly and the candidate is accepted when ``y`` — drawn from
 pays for a **max reduction over every transition weight** before it can start
 drawing, which for dynamic walks means computing every weight anyway; this is
 exactly the cost eRJS removes.
+
+The trial loop itself is shared by RJS and both eRJS paths
+(:func:`run_rejection_trials_batch`).  It reads weights only through a probe
+callable, one probed candidate per trial.  For a probe-only kernel (eRJS on
+a cache-served workload, which reads nothing but the probed weights) it
+also evaluates a trial's two random numbers only once the walker is about
+to reach that trial, in growing spans of trials; the counters of a whole
+trial block are still reserved per round, so every stream advances exactly
+as the scalar loop advances it.
 """
 
 from __future__ import annotations
+
+import itertools
+from collections.abc import Callable
 
 import numpy as np
 
@@ -22,9 +34,25 @@ from repro.sampling.batch import (
     segment_offsets,
 )
 
+#: ``probe(walkers, xs) -> weights``: the transition weight of candidate
+#: ``xs[k]`` of batch-local walker ``walkers[k]``.
+Probe = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
 #: Size of the vectorised trial batches drawn at once (purely an
 #: implementation detail; the trial count recorded in the counters is exact).
 _TRIAL_BATCH = 16
+
+#: Trial positions the batched loop evaluates together, as span boundaries.
+#: A lazy first round goes span by span, so a walker that accepts at trial
+#: ``j`` evaluates at most about ``2j`` trials' draws and weights instead of
+#: the whole block; a walker still undecided after a full block has a low
+#: acceptance rate, and its later rounds evaluate each block in one span.
+#: Each span is one numpy pass over the undecided walkers, so a kernel that
+#: already materialised every candidate's weight evaluates whole blocks:
+#: there the extra passes cost more than the draws they save (low-acceptance
+#: MetaPath steps in ``scripts/bench_engine.py``).
+_LAZY_FIRST_ROUND_SPANS = (0, 1, 2, 4, 8, _TRIAL_BATCH)
+_BLOCK_SPANS = (0, _TRIAL_BATCH)
 
 
 def run_rejection_trials(
@@ -68,28 +96,51 @@ def run_rejection_trials(
     return None, trials_done
 
 
+def flat_probe(batch: BatchStepContext, weights_flat: np.ndarray) -> Probe:
+    """A trial probe reading the batch's flattened transition weights."""
+    offsets = batch.offsets
+
+    def probe(walkers: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        return weights_flat[offsets[walkers] + xs]
+
+    return probe
+
+
 def run_rejection_trials_batch(
     batch: BatchStepContext,
     idx: np.ndarray,
-    weights_flat: np.ndarray,
+    probe: Probe,
     bounds: np.ndarray,
     max_trials: np.ndarray,
+    lazy: bool = False,
 ) -> np.ndarray:
     """Accept/reject trials for many walkers at once.
 
-    The batched twin of :func:`run_rejection_trials`: per round every still
-    undecided walker draws one block of candidate/acceptance uniforms from
-    its own stream (the same counters the scalar loop would consume, so the
-    realised trials are identical), and the round's acceptance test runs as
-    one vectorised comparison across all of them.
+    The batched twin of :func:`run_rejection_trials`.  Per round every still
+    undecided walker reserves one block of ``2·b`` counters on its own
+    stream — ``b`` candidate uniforms, then ``b`` acceptance uniforms, the
+    scalar loop's consumption order — so stream counters and draw tallies
+    advance exactly as the scalar loop's.  The trials of the block then run
+    span by span across the walkers still undecided: a span evaluates
+    Philox only at its trials' candidate and acceptance positions and reads
+    only the probed candidates' weights.  A walker that accepts at trial
+    ``j`` evaluates nothing past the span holding ``j``.
 
     Parameters
     ----------
     idx:
         Batch-local indices of the participating walkers.
-    weights_flat / bounds / max_trials:
-        The flattened frontier weights, plus per-walker proposal bounds and
-        trial budgets parallel to ``idx``.
+    probe:
+        ``probe(walkers, xs)`` returns the transition weight of candidate
+        ``xs[k]`` (a position in the neighbour list) of batch-local walker
+        ``walkers[k]`` — a flat-array gather (:func:`flat_probe`) or a
+        transition-cache read.
+    bounds / max_trials:
+        Per-walker proposal bounds and trial budgets, parallel to ``idx``.
+    lazy:
+        Run the first round in growing spans (:data:`_LAZY_FIRST_ROUND_SPANS`)
+        rather than as one block.  For probe-only kernels, whose host work
+        is otherwise just these draws.
 
     Returns the accepted candidate index *within each walker's neighbour
     list* (``-1`` when the budget was exhausted), charging exactly the trial
@@ -100,9 +151,10 @@ def run_rejection_trials_batch(
         return choice
     degrees = batch.degrees[idx]
     probe_words = 1 + batch.spec.probe_cost_words_batch(batch.graph, batch)[idx]
-    offsets = batch.offsets[:-1][idx]
+    streams = batch.rng.subset(idx)
     done = np.zeros(idx.size, dtype=np.int64)
     active = np.nonzero((degrees > 0) & (bounds > 0))[0]
+    spans = _LAZY_FIRST_ROUND_SPANS if lazy else _BLOCK_SPANS
     while active.size:
         block = np.minimum(_TRIAL_BATCH, max_trials[active] - done[active])
         runnable = block > 0
@@ -110,32 +162,39 @@ def run_rejection_trials_batch(
         block = block[runnable]
         if active.size == 0:
             break
-        # One contiguous counter block of 2·b draws per walker: the first b
-        # feed the candidate integers, the rest the acceptance uniforms —
-        # the exact consumption order of the scalar loop.
-        u = batch.rng.subset(idx[active]).uniform_flat(2 * block)
-        local = local_positions(2 * block)
-        seg2 = segment_ids(2 * block)
-        is_candidate = local < block[seg2]
-        seg = segment_ids(block)
-        xs = np.floor(u[is_candidate] * degrees[active][seg]).astype(np.int64)
-        ys = u[~is_candidate] * bounds[active][seg]
-        hit = ys <= weights_flat[offsets[active][seg] + xs]
-        any_hit, first = segment_first_true(hit, block)
+        starts = streams.subset(active).reserve(2 * block)
+        used = block.copy()
+        accepted = np.zeros(active.size, dtype=bool)
+        # Rows of the round (positions into ``active``) still undecided.
+        pending = np.arange(active.size, dtype=np.int64)
+        for lo, hi in itertools.pairwise(spans):
+            pending = pending[block[pending] > lo]
+            if pending.size == 0:
+                break
+            # Trials lo..hi-1 of every pending walker, flattened per walker.
+            width = np.minimum(block[pending], hi) - lo
+            at = pending[segment_ids(width)]
+            trial = lo + local_positions(width)
+            rows = active[at]
+            u_x = streams.uniform_at(starts[at], trial, rows)
+            u_y = streams.uniform_at(starts[at], block[at] + trial, rows)
+            xs = np.floor(u_x * degrees[rows]).astype(np.int64)
+            hit = u_y * bounds[rows] <= probe(idx[rows], xs)
+            any_hit, first = segment_first_true(hit, width)
+            won = pending[any_hit]
+            choice[active[won]] = xs[segment_offsets(width)[:-1][any_hit] + first[any_hit]]
+            used[won] = lo + first[any_hit] + 1
+            accepted[won] = True
+            pending = pending[~any_hit]
+        spans = _BLOCK_SPANS
 
-        used = np.where(any_hit, first + 1, block)
         slots = idx[active]
         batch.charge("rng_draws", 2 * used, slots)
         batch.charge("random_accesses", probe_words[active] * used, slots)
         batch.charge("weight_computations", used, slots)
         batch.charge("rejection_trials", used, slots)
         done[active] += used
-
-        if any_hit.any():
-            block_offsets = segment_offsets(block)
-            winners = xs[block_offsets[:-1] + first]
-            choice[active[any_hit]] = winners[any_hit]
-        active = active[~any_hit]
+        active = active[~accepted]
     return choice
 
 
@@ -193,7 +252,7 @@ class RejectionSampler(Sampler):
         max_trials = np.maximum(self.min_trials, self.max_trial_factor * degrees)
         choice = np.full(batch.size, -1, dtype=np.int64)
         choice[alive] = run_rejection_trials_batch(
-            batch, alive, weights, bounds[alive], max_trials[alive]
+            batch, alive, flat_probe(batch, weights), bounds[alive], max_trials[alive]
         )
         # Trial-budget exhaustion: finish with a direct inversion per walker,
         # replaying the scalar fallback on the same weight slice and stream.
@@ -210,5 +269,5 @@ class RejectionSampler(Sampler):
             batch.charge("rng_draws", 1, np.array([i]))
             choice[i] = min(int(np.searchsorted(cdf, u * total)), degree - 1)
         picked = np.nonzero(choice >= 0)[0]
-        out[picked] = batch.neighbors_flat[batch.offsets[:-1][picked] + choice[picked]]
+        out[picked] = batch.graph.indices[batch.edge_start[picked] + choice[picked]]
         return out

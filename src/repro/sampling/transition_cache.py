@@ -10,12 +10,17 @@ device and repeated ``engine.run`` call, so the batched engine can compute
 them **once per (graph, spec)** and share the result from then on.
 
 The cache stores three flattened per-node structures, all parallel to the
-graph's CSR edge arrays and filled lazily on first visit (a sparse-query run
-must not pay an O(num_edges) startup it would never have paid):
+graph's CSR edge arrays, plus one per-node array, all filled lazily on first
+visit (a sparse-query run must not pay an O(num_edges) startup it would never
+have paid):
 
 * the transition **weights** themselves (consulted by
   :meth:`~repro.sampling.batch.BatchStepContext.transition_weights`, i.e. by
-  every kernel's weight gather);
+  every kernel's weight gather, and read probe by probe through
+  :meth:`TransitionCache.edge_weights`);
+* the per-node **maximum** weight (consulted by the eRJS kernel, which bounds
+  its trials with it and so reads only the weights its trials probe instead
+  of flattening every candidate edge of every walker);
 * the per-node **CDF + total** pair (consulted by the ITS kernel, replacing
   its per-walker ``np.cumsum`` cores);
 * the per-node **alias tables** (consulted by the ALS kernel, replacing its
@@ -36,10 +41,11 @@ import numpy as np
 
 from repro.graph.csr import CSRGraph
 from repro.sampling.alias import build_alias_table
+from repro.sampling.batch import local_positions, segment_max
 from repro.walks.spec import WalkSpec
 from repro.walks.state import WalkerState, WalkQuery
 
-if TYPE_CHECKING:  # pragma: no cover - batch imports this module lazily
+if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sampling.batch import BatchStepContext
 
 
@@ -48,11 +54,12 @@ class TransitionCache:
 
     Attributes
     ----------
-    weight_fills / cdf_fills / alias_fills:
+    weight_fills / cdf_fills / alias_fills / max_fills:
         Number of nodes whose respective structure has been materialised so
         far (introspection for tests and the benchmark harness).
     lookups:
-        Number of cache-served weight gathers.
+        Number of cache-served reads: weight gathers, per-node maxima and
+        probed weights.
     """
 
     def __init__(self, graph: CSRGraph, spec: WalkSpec) -> None:
@@ -67,12 +74,15 @@ class TransitionCache:
         self._alias_prob = np.zeros(num_edges, dtype=np.float64)
         self._alias_idx = np.zeros(num_edges, dtype=np.int64)
         self._have_alias = np.zeros(num_nodes, dtype=bool)
+        self._node_max = np.zeros(num_nodes, dtype=np.float64)
+        self._have_max = np.zeros(num_nodes, dtype=bool)
         self._probe = WalkerState(
             query=WalkQuery(query_id=0, start_node=0, max_length=1), current_node=0
         )
         self.weight_fills = 0
         self.cdf_fills = 0
         self.alias_fills = 0
+        self.max_fills = 0
         self.lookups = 0
 
     # ------------------------------------------------------------------ #
@@ -119,7 +129,9 @@ class TransitionCache:
         content — the delta did not touch it), so its materialised weights /
         CDF / alias entries are scatter-copied to their new positions and
         its ``have``-flags survive.  Touched nodes are cleared and refill
-        lazily on their next visit.  The cache *object* (and its per-node
+        lazily on their next visit — their per-node maximum included, so a
+        delta that removes a node's heaviest edge lowers the bound eRJS
+        draws against.  The cache *object* (and its per-node
         mask/total arrays) keeps its identity, so every engine and session
         sharing it through :class:`~repro.runtime.engine.EngineCaches`
         keeps sharing it.
@@ -164,6 +176,7 @@ class TransitionCache:
         self._have_weights[touched] = False
         self._have_cdf[touched] = False
         self._have_alias[touched] = False
+        self._have_max[touched] = False
         self._totals[touched] = 0.0
         self.graph = new_graph
 
@@ -177,6 +190,43 @@ class TransitionCache:
         self.ensure_weights(batch.current)
         self.lookups += 1
         return self._weights[batch.flat_edges]
+
+    def edge_weights(self, edges: np.ndarray) -> np.ndarray:
+        """Cached transition weights at the given global edge ids.
+
+        The nodes owning ``edges`` must already be materialised (by
+        :meth:`ensure_weights`, or by :meth:`node_max` in the same step):
+        this is the per-probe read of a rejection trial, so it does no
+        per-call fill check.
+        """
+        self.lookups += 1
+        return self._weights[edges]
+
+    # ------------------------------------------------------------------ #
+    # Per-node maxima (eRJS bounds)
+    # ------------------------------------------------------------------ #
+    def node_max(self, nodes: np.ndarray) -> np.ndarray:
+        """Maximum transition weight of each given node (``-inf`` if no edges).
+
+        Nodes are filled lazily with :func:`segment_max` (one
+        ``np.maximum.reduceat`` over their cached slices).  A maximum is
+        exact in floating point, so the value equals, bit for bit, the
+        ``segment_max`` of the same node's weights taken at any later step.
+        Also materialises the weights of ``nodes``, so their edges can be
+        probed with :meth:`edge_weights` afterwards.
+        """
+        self.lookups += 1
+        pending = np.unique(nodes[~self._have_max[nodes]])
+        if pending.size:
+            self.ensure_weights(pending)
+            indptr = self.graph.indptr
+            starts = indptr[pending]
+            degrees = indptr[pending + 1] - starts
+            edges = np.repeat(starts, degrees) + local_positions(degrees)
+            self._node_max[pending] = segment_max(self._weights[edges], degrees)
+            self._have_max[pending] = True
+            self.max_fills += int(pending.size)
+        return self._node_max[nodes]
 
     # ------------------------------------------------------------------ #
     # CDFs (ITS)

@@ -8,11 +8,17 @@ shifts the analyzer's anchoring is caught immediately.
 
 from __future__ import annotations
 
+import inspect
 from pathlib import Path
 
+import numpy as np
 import spec_fixtures as fx
 
 from repro.analysis import Severity, verify_callable, verify_spec
+from repro.analysis.hooks import load_spec_sources
+from repro.compiler.analyzer import analyze_get_weight
+from repro.graph.generators import barabasi_albert_graph
+from repro.service import WalkService
 from repro.walks.deepwalk import DeepWalkSpec
 from repro.walks.metapath import MetaPathSpec
 from repro.walks.node2vec import Node2VecSpec, UnweightedNode2VecSpec
@@ -179,3 +185,54 @@ class TestSourceUnavailable:
         assert "spec/source-unavailable" in rules
         assert not report.has_errors  # degrades, never hard-fails
         assert not report.weights_state_free  # no proof without source
+
+
+class TestSourcesParsedOnce:
+    """Every graph delta recompiles the workload; hook sources are read once."""
+
+    @staticmethod
+    def count_source_reads(monkeypatch) -> list:
+        reads = []
+        original = inspect.getsourcelines
+
+        def getsourcelines(obj):
+            reads.append(obj)
+            return original(obj)
+
+        monkeypatch.setattr(inspect, "getsourcelines", getsourcelines)
+        return reads
+
+    def test_repeat_verification_reads_no_source(self, monkeypatch):
+        spec_classes = (MetaPathSpec, Node2VecSpec, fx.BadRngSpec)
+        first = [verify_spec(cls()) for cls in spec_classes]
+        analyses = [analyze_get_weight(cls()) for cls in spec_classes]
+        reads = self.count_source_reads(monkeypatch)
+        assert [verify_spec(cls()) for cls in spec_classes] == first
+        for cls, analysis in zip(spec_classes, analyses):
+            again = analyze_get_weight(cls())
+            assert again.supported == analysis.supported
+            assert again.return_dependencies == analysis.return_dependencies
+        assert reads == []
+        # Spans still point at the fixture's real lines.
+        diag = only_diag(first[2], "determinism/unseeded-rng")
+        assert diag.span.line == mark_line("bad-rng")
+
+    def test_helper_contexts_are_not_shared_between_loads(self):
+        # MetaPath's transition_weights expands self._expected_label under
+        # its own context; the expansion must not leak into a later load.
+        first = load_spec_sources(MetaPathSpec())
+        second = load_spec_sources(MetaPathSpec())
+        pairs = [(source.name, source.context) for source in first.hooks]
+        assert ("_expected_label", "transition_weights") in pairs
+        assert [(source.name, source.context) for source in second.hooks] == pairs
+        assert all(a is not b for a, b in zip(first.hooks, second.hooks))
+
+    def test_recompile_after_a_delta_reads_no_source(self, monkeypatch):
+        service = WalkService(barabasi_albert_graph(60, 3, seed=1, name="ba-60"))
+        spec = Node2VecSpec()
+        service.compile(spec)
+        reads = self.count_source_reads(monkeypatch)
+        service.apply_delta(np.array([[0, 59]]), weights=np.array([0.5]))
+        recompiled = service.compile(spec)
+        assert recompiled.report.diagnostics == ()
+        assert reads == []
